@@ -81,7 +81,7 @@ std::atomic<std::uint64_t> RsCode::constructions_{0};
 RsCode::RsCode(std::size_t n, std::size_t k)
     : n_(n), k_(k), coeff_(k * n)
 {
-    panic_if(n < 2 || k < 1 || n + k > 255,
+    panic_if(n < 1 || k < 1 || n + k > 255,
              "RsCode: bad geometry %zu+%zu", n, k);
     constructions_.fetch_add(1, std::memory_order_relaxed);
 
@@ -127,6 +127,24 @@ RsCode::decode(std::uint8_t *const members[],
         return true;
     if (missing > k_)
         return false;
+
+    // Single erasure among {data, P}: parity row 0 is all ones, so the
+    // lost member is the XOR of the other n members of that set — the
+    // RAID-5 degraded read. These are the first n survivors the
+    // elimination below would pick, so the two agree bit for bit.
+    if (missing == 1) {
+        std::size_t lost = 0;
+        while (present[lost])
+            lost++;
+        if (lost <= n_) {
+            std::memset(members[lost], 0, kLineBytes);
+            for (std::size_t m = 0; m <= n_; m++) {
+                if (m != lost)
+                    xorLine(members[lost], members[m]);
+            }
+            return true;
+        }
+    }
 
     // Solve for the data vector from n surviving generator rows.
     // Generator G is (n+k) x n: rows 0..n-1 identity, rows n..n+k-1
@@ -201,12 +219,8 @@ RsCode::decode(std::uint8_t *const members[],
             continue;
         std::uint8_t *parity = members[n_ + j];
         std::memset(parity, 0, kLineBytes);
-        for (std::size_t i = 0; i < n_; i++) {
-            gf256::mulLineInto(parity,
-                               present[i] ? members[i]
-                                          : &rhs[i * kLineBytes],
-                               coeff(j, i));
-        }
+        for (std::size_t i = 0; i < n_; i++)
+            updateParity(parity, members[i], j, i);
     }
     return true;
 }

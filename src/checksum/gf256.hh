@@ -51,7 +51,7 @@ void mulLineInto(void *dst, const void *src, std::uint8_t c);
 /**
  * Systematic Reed-Solomon n+k erasure code over 64 B cache lines.
  * Member indexing: 0..n-1 data, n..n+k-1 parity. Requires
- * 2 <= n, 1 <= k, n + k <= 255.
+ * 1 <= n, 1 <= k, n + k <= 255 (n = 1 is mirroring).
  */
 class RsCode
 {
@@ -63,9 +63,9 @@ class RsCode
 
     /**
      * Process-wide count of RsCode constructions. Building the Cauchy
-     * matrix costs O(n*k) field inversions, so hot loops must reuse a
-     * cached codec (MemorySystem::rsCodec()); regression tests pin
-     * that sweeps construct zero codecs per line.
+     * matrix costs O(n*k) field inversions, so hot loops must reuse
+     * the machine's one codec (MemorySystem::rsCodec()); regression
+     * tests pin one construction per machine and none per line.
      */
     static std::uint64_t constructions()
     {
@@ -95,7 +95,10 @@ class RsCode
     void encode(std::uint8_t *const members[]) const;
 
     /**
-     * Recover every missing member from any n survivors.
+     * Recover every missing member from any n survivors. A single
+     * erasure of a data member or of P (parity role 0) is the XOR of
+     * the other members of {data, P}; everything else is Gauss-Jordan
+     * elimination over the first n survivors.
      *
      * @p members   n+k line pointers; present members are read,
      *              missing ones are overwritten with their recovered

@@ -31,12 +31,11 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "checksum/gf256.hh"
+#include "core/stripe.hh"
 #include "layout/layout.hh"
 #include "mem/cache.hh"
 #include "nvm/nvm.hh"
@@ -46,11 +45,13 @@
 
 namespace tvarak {
 
-class TvarakEngine
+class TvarakEngine final : public StripeView::Source
 {
   public:
+    /** @p stripes is the machine's stripe view (and codec); the
+     *  engine reconstructs through it with its at-rest source. */
     TvarakEngine(const SimConfig &cfg, Layout &layout, NvmArray &nvm,
-                 Stats &stats);
+                 Stats &stats, StripeView &stripes);
 
     /** @name Software management interface (used by DaxFs). */
     /**@{*/
@@ -130,21 +131,6 @@ class TvarakEngine
     /** @name Whole-DIMM failure support */
     /**@{*/
     /**
-     * Reconstruct the at-rest content of line @p nvmAddr from the
-     * authoritative parity line(s) and the at-rest stripe survivors.
-     * With a single parity member this is the RAID-5 degraded read
-     * (XOR of parity and siblings; @p nvmAddr must not be a parity
-     * page). With k >= 2 parity members it is a Reed-Solomon decode
-     * from any n survivors, and parity members can be reconstructed
-     * too. Untimed.
-     * @return false iff more members are lost than the code can
-     *         tolerate; @p out is then poison (detectable loss). The
-     *         single-parity path always returns true — under a double
-     *         fault it produces garbage that downstream checksums
-     *         catch, preserving the pre-RS behaviour bit for bit.
-     */
-    bool reconstructFromParity(Addr nvmAddr, std::uint8_t *out);
-    /**
      * Drop every cached redundancy line whose home is @p dimm: the
      * backing storage is gone and the rebuild engine will recompute
      * checksums and parity from data, so cached copies — dirty ones
@@ -190,6 +176,12 @@ class TvarakEngine
      *  untimed; used by scrub/verification utilities. */
     void peekRedLine(Addr raddr, std::uint8_t *out);
 
+    /** The at-rest source policy for StripeView::reconstruct: data
+     *  from media, parity through peekRedLine (it may be dirty in the
+     *  redundancy caches). Untimed. */
+    void memberLine(Addr nvmAddr, bool parity,
+                    std::uint8_t *out) override;
+
     /** Hook invoked after a successful line recovery. */
     std::function<void(Addr nvmAddr)> onRecovery;
 
@@ -202,10 +194,6 @@ class TvarakEngine
     /** Home LLC bank of a redundancy line. */
     std::size_t homeBank(Addr raddr) const;
 
-    /** Reed-Solomon joint decode of @p lineAddr's stripe at its line
-     *  offset (k >= 2 only): survivors in, missing members out.
-     *  @return false past the k-failure budget (@p out poisoned). */
-    bool reconstructRs(Addr lineAddr, std::uint8_t *out);
 
     /**
      * Access one redundancy line through the caching hierarchy
@@ -279,8 +267,7 @@ class TvarakEngine
     };
     std::unordered_map<Addr, DirEntry> directory_;
 
-    /** The stripe's erasure code; null under single-XOR parity. */
-    std::unique_ptr<RsCode> rs_;
+    StripeView &stripes_;
 };
 
 }  // namespace tvarak

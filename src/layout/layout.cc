@@ -117,17 +117,22 @@ Layout::dataMemberIndexOf(Addr a) const
 {
     std::size_t s = stripeOf(a);
     std::size_t member =
-        static_cast<std::size_t>((a - dataBase_) / kPageBytes) % dimms_;
-    std::size_t idx = 0;
-    for (std::size_t m = 0; m < member; m++) {
-        std::size_t role;
-        if (!memberIsParity(s, m, role))
-            idx++;
+        static_cast<std::size_t>((a - dataBase_) / kPageBytes) -
+        s * dimms_;
+    // The k parity slots are the cyclic run ending at slot `base`
+    // (parityMember); the coding index skips those below the member.
+    // Closed form: this runs on every TVARAK writeback.
+    std::size_t base = dimms_ - 1 - (s % dimms_);
+    if (base + 1 < parityCount_) {
+        // The run wraps: [0, base] and [wrap, dimms).
+        std::size_t wrap = dimms_ + base + 1 - parityCount_;
+        panic_if(member <= base || member >= wrap,
+                 "dataMemberIndexOf on a parity page");
+        return member - (base + 1);
     }
-    std::size_t role;
-    panic_if(memberIsParity(s, member, role),
+    panic_if(member + parityCount_ > base && member <= base,
              "dataMemberIndexOf on a parity page");
-    return idx;
+    return member > base ? member - parityCount_ : member;
 }
 
 Addr

@@ -18,6 +18,8 @@ SimConfig
 designAdjusted(SimConfig cfg, const Design &design)
 {
     design.adjustConfig(cfg);
+    // Validate before any member is built from the geometry.
+    cfg.validate();
     return cfg;
 }
 
@@ -33,12 +35,12 @@ MemorySystem::MemorySystem(const SimConfig &cfg, const Design &design)
       // a reference to its SimConfig, so it must not see the caller's
       // possibly-temporary argument.
       nvm_(cfg_.nvm, cfg_, stats_),
-      engine_(cfg_, layout_, nvm_, stats_),
+      stripes_(layout_, nvm_),
+      engine_(cfg_, layout_, nvm_, stats_, stripes_),
       dram_(cfg_.dram.sizeBytes),
       nvmCur_(cfg_.nvm.dimms * cfg_.nvm.dimmBytes),
       dramBrk_(kLineBytes)  // never hand out address 0
 {
-    cfg_.validate();
     // A failure-domain fault takes out dimmsPerDomain DIMMs at once;
     // grouping DIMMs into multi-DIMM domains is only meaningful when
     // the active design can decode through a whole-domain loss.
@@ -80,16 +82,6 @@ DesignKind
 MemorySystem::design() const
 {
     return design_->kind();
-}
-
-const RsCode &
-MemorySystem::rsCodec()
-{
-    if (!rsCodec_) {
-        rsCodec_ = std::make_unique<RsCode>(layout_.dataCount(),
-                                            layout_.parityCount());
-    }
-    return *rsCodec_;
 }
 
 //
@@ -637,7 +629,7 @@ MemorySystem::replaceDimm(std::size_t dimm)
 }
 
 void
-MemorySystem::memberLine(Addr nvmAddr, std::uint8_t *out, bool charge)
+MemorySystem::memberLine(Addr nvmAddr, bool, std::uint8_t *out)
 {
     if (ctrl_->atRestLine(nvmAddr)) {
         // At-rest-world designs maintain parity against media values.
@@ -649,8 +641,6 @@ MemorySystem::memberLine(Addr nvmAddr, std::uint8_t *out, bool charge)
         std::memcpy(out, funcPtr(kNvmPhysBase + nvmAddr, true),
                     kLineBytes);
     }
-    if (charge)
-        nvm_.charge(nvmAddr, false, false);
 }
 
 bool
@@ -685,133 +675,10 @@ MemorySystem::reconstructLine(Addr nvmAddr, std::uint8_t *out, bool charge)
         std::memset(out, 0, kLineBytes);
         return true;
     }
-    if (layout_.parityCount() > 1)
-        return reconstructLineRs(line, out, charge);
-    Addr off = pageOffset(line);
-    std::vector<Addr> pages;
-    layout_.stripeDataPages(line, pages);
-    bool engine_world = stripeIsEngineWorld(line);
-    if (layout_.isParityPage(line)) {
-        // A parity member is the XOR of its stripe's data members, in
-        // whichever world maintains this stripe's parity. A second
-        // dead member makes the recompute undecodable: known erasure
-        // overflow, loud poison.
-        if (nvm_.anyDegraded()) {
-            for (Addr page : pages) {
-                if (nvm_.lineDegraded(page + off)) {
-                    std::memset(out, NvmDimm::kPoisonByte, kLineBytes);
-                    return false;
-                }
-            }
-        }
-        std::memset(out, 0, kLineBytes);
-        for (Addr page : pages) {
-            std::uint8_t sib[kLineBytes];
-            if (engine_world)
-                nvm_.rawRead(page + off, sib, kLineBytes);
-            else
-                memberLine(page + off, sib, false);
-            if (charge)
-                nvm_.charge(page + off, false, false);
-            xorLine(out, sib);
-        }
-        return true;
-    }
-    Addr parity_line = layout_.parityLineOf(line);
-    if (engine_world) {
-        // At-rest world: the engine reads parity through its coherent
-        // caches and the siblings from raw media (it poisons on
-        // erasure overflow).
-        bool ok = engine_.reconstructFromParity(line, out);
-        if (charge) {
-            nvm_.charge(parity_line, false, true);
-            for (Addr page : pages) {
-                if (page != pageBase(line))
-                    nvm_.charge(page + off, false, false);
-            }
-        }
-        return ok;
-    }
-    // Software world: single parity needs every other member alive.
-    if (nvm_.anyDegraded()) {
-        bool overflow = nvm_.lineDegraded(parity_line);
-        for (Addr page : pages) {
-            if (page != pageBase(line))
-                overflow = overflow || nvm_.lineDegraded(page + off);
-        }
-        if (overflow) {
-            std::memset(out, NvmDimm::kPoisonByte, kLineBytes);
-            return false;
-        }
-    }
-    std::memcpy(out, funcPtr(kNvmPhysBase + parity_line, true),
-                kLineBytes);
-    if (charge)
-        nvm_.charge(parity_line, false, true);
-    for (Addr page : pages) {
-        if (page == pageBase(line))
-            continue;
-        std::uint8_t sib[kLineBytes];
-        memberLine(page + off, sib, charge);
-        xorLine(out, sib);
-    }
-    return true;
-}
-
-bool
-MemorySystem::reconstructLineRs(Addr line, std::uint8_t *out, bool charge)
-{
-    const std::size_t n = layout_.dataCount();
-    const std::size_t k = layout_.parityCount();
-    Addr off = pageOffset(line);
-    std::vector<Addr> pages;
-    layout_.stripeDataPages(line, pages);  // coding-index order
-    bool engine_world = stripeIsEngineWorld(line);
-
-    std::vector<std::array<std::uint8_t, kLineBytes>> bufs(n + k);
-    std::vector<std::uint8_t *> ptrs(n + k);
-    std::vector<Addr> addrs(n + k);
-    bool present[255];
-    for (std::size_t i = 0; i < n; i++)
-        addrs[i] = pages[i] + off;
-    for (std::size_t j = 0; j < k; j++)
-        addrs[n + j] = layout_.parityLineOf(line, j);
-
-    std::size_t target = n + k;
-    for (std::size_t m = 0; m < n + k; m++) {
-        ptrs[m] = bufs[m].data();
-        // The target is always an erasure, even when its media is
-        // readable: trusting its bytes would return them unchanged.
-        present[m] =
-            addrs[m] != line && !nvm_.lineDegraded(addrs[m]);
-        if (addrs[m] == line)
-            target = m;
-        if (!present[m])
-            continue;
-        if (!engine_world) {
-            // Software-maintained stripes update parity synchronously
-            // with the data write, i.e. in current values.
-            memberLine(addrs[m], ptrs[m], false);
-        } else if (m >= n) {
-            // Authoritative parity may be dirty in the engine caches.
-            engine_.peekRedLine(addrs[m], ptrs[m]);
-        } else {
-            nvm_.rawRead(addrs[m], ptrs[m], kLineBytes);
-        }
-        if (charge)
-            nvm_.charge(addrs[m], false, m >= n);
-    }
-    panic_if(target == n + k, "reconstructLineRs: %llx not in stripe",
-             static_cast<unsigned long long>(line));
-
-    if (!rsCodec().decode(ptrs.data(), present)) {
-        // More members lost than the code tolerates: loud poison so
-        // every downstream checksum consumer sees a *detected* loss.
-        std::memset(out, NvmDimm::kPoisonByte, kLineBytes);
-        return false;
-    }
-    std::memcpy(out, ptrs[target], kLineBytes);
-    return true;
+    StripeView::Source &src = stripeIsEngineWorld(line)
+        ? static_cast<StripeView::Source &>(engine_)
+        : *this;
+    return stripes_.reconstruct(line, out, src, charge);
 }
 
 Cycles
@@ -848,7 +715,7 @@ MemorySystem::rebuildRead(Addr nvmAddr, std::uint8_t *out)
     if (nvm_.anyDegraded() && nvm_.lineDegraded(line))
         reconstructLine(line, out, false);
     else
-        memberLine(line, out, false);
+        memberLine(line, false, out);
 }
 
 void

@@ -38,7 +38,7 @@
 #include <string>
 #include <vector>
 
-#include "checksum/gf256.hh"
+#include "core/stripe.hh"
 #include "core/tvarak.hh"
 #include "layout/layout.hh"
 #include "mem/cache.hh"
@@ -57,7 +57,7 @@ class TraceSink;
 class Design;
 class MemController;
 
-class MemorySystem
+class MemorySystem final : private StripeView::Source
 {
   public:
     /** Run under @p design (a registered Design drives all
@@ -124,16 +124,17 @@ class MemorySystem
     void replaceDimm(std::size_t dimm);
     /**
      * Best-effort reconstruction of @p nvmAddr's content without its
-     * home DIMM. Data lines come from parity + stripe siblings (the
-     * TVARAK engine's at-rest world for registered pages, the
-     * current-value world otherwise); parity lines are recomputed from
-     * their stripe members; metadata is not parity protected and comes
-     * back as poison.
+     * home DIMM, through the stripe view: data and parity lines are
+     * decoded from their stripe survivors, read in the TVARAK
+     * engine's at-rest world when the stripe has a registered page
+     * and in the current-value world otherwise. Metadata is not
+     * parity protected and comes back as poison.
      *
      * @param charge  account the surviving-DIMM reads (energy,
      *                occupancy) — true on architectural paths, false
      *                for untimed maintenance.
-     * @return false iff the content is unrecoverable (metadata).
+     * @return false iff the content is unrecoverable (metadata, or
+     *         more stripe members lost than parity covers).
      */
     bool reconstructLine(Addr nvmAddr, std::uint8_t *out, bool charge);
     /**
@@ -185,12 +186,12 @@ class MemorySystem
     std::size_t llcDataWays() const { return llcDataWays_; }
 
     /**
-     * The cached Reed-Solomon codec for this layout's n+k geometry
-     * (parityCount >= 2 layouts only). Built once on first use;
-     * degraded reads, rebuild sweeps, and the software schemes all
-     * share it instead of re-deriving the Cauchy matrix per line.
+     * The machine's one Reed-Solomon codec for this layout's n+k
+     * geometry (k = 1 is plain XOR parity). Built with the machine;
+     * the TVARAK engine, degraded reads, rebuild sweeps and the
+     * software schemes all share it.
      */
-    const RsCode &rsCodec();
+    const RsCode &rsCodec() const { return stripes_.codec(); }
 
     /** @name Access-trace recording (src/trace/)
      *  The sink observes the timed API; when unset (the default) the
@@ -259,15 +260,11 @@ class MemorySystem
      *  dead DIMM. @return demand-path cycles. */
     Cycles degradedFill(std::size_t bank, Addr g, std::uint8_t *media);
 
-    /** Reed-Solomon joint decode of @p line's stripe (parityCount >=
-     *  2): any n surviving members recover the rest, in whichever
-     *  world maintains the stripe's parity. @return false past the
-     *  k-failure budget (@p out poisoned). */
-    bool reconstructLineRs(Addr line, std::uint8_t *out, bool charge);
-
-    /** One stripe member's value for reconstruction (at-rest for
+    /** The current-value source policy: one stripe member's value
+     *  in the world that maintains its redundancy (at rest for
      *  TVARAK-registered pages, current otherwise). */
-    void memberLine(Addr nvmAddr, std::uint8_t *out, bool charge);
+    void memberLine(Addr nvmAddr, bool parity,
+                    std::uint8_t *out) override;
 
     /** True iff @p line's stripe has a TVARAK-registered member, i.e.
      *  the engine maintains the stripe's parity in the at-rest world
@@ -293,6 +290,7 @@ class MemorySystem
     Stats stats_;
     Layout layout_;
     NvmArray nvm_;
+    StripeView stripes_;  //!< the one reconstruction path + codec
     TvarakEngine engine_;
 
     std::vector<Cache> l1_;   //!< per core
@@ -303,7 +301,6 @@ class MemorySystem
     HostBuffer dram_;    //!< DRAM current values (huge-page backed)
     HostBuffer nvmCur_;  //!< NVM current values (huge-page backed)
     std::vector<Addr> daxPageTable_;    //!< vpage -> NVM page | kUnmapped
-    std::unique_ptr<RsCode> rsCodec_;   //!< lazily built geometry codec
     Addr dramBrk_;
     std::vector<std::uint64_t> lastMissLine_;  //!< per-core stride state
     trace::TraceSink *traceSink_ = nullptr;    //!< access-trace recorder

@@ -23,55 +23,41 @@ RedundancyScheme::recomputeParityLine(int tid, Addr vline)
 
     // parity = code over the stripe's data lines at this page offset;
     // updating in place forfeits diff-based updates (paper Section IV),
-    // so the siblings must be read.
+    // so the siblings must be read: the dirty line first, then the
+    // siblings in coding order. A fused kernel sequence per data
+    // member feeds every parity role its coefficient-weighted
+    // contribution (role 0's coefficient is 1: plain XOR) in one pass
+    // over the line, with the machine's one codec.
+    const RsCode &rs = mem_.rsCodec();
+    const std::size_t k = layout.parityCount();
     std::vector<Addr> pages;
     layout.stripeDataPages(g, pages);
     std::size_t offset = lineInPage(g) * kLineBytes;
-    if (layout.parityCount() == 1) {
-        std::uint8_t acc[kLineBytes];
-        mem_.read(tid, lineBase(vline), acc, kLineBytes);
-        for (Addr page : pages) {
-            if (page == pageBase(g))
-                continue;
-            std::uint8_t sib[kLineBytes];
-            mem_.read(tid, nvmDirectVaddr(page + offset), sib,
-                      kLineBytes);
-            xorLine(acc, sib);
-        }
-        mem_.write(tid, nvmDirectVaddr(layout.parityLineOf(g)), acc,
-                   kLineBytes);
-        return;
-    }
-    // Reed-Solomon geometries: a fused kernel sequence per data member
-    // feeds every parity role its coefficient-weighted contribution in
-    // one pass over the sibling line. The codec itself is the memory
-    // system's cached one — never rebuilt per line.
-    const RsCode &rs = mem_.rsCodec();
-    std::vector<std::array<std::uint8_t, kLineBytes>> par(
-        layout.parityCount());
-    for (auto &p : par)
+    std::uint8_t own[kLineBytes];
+    mem_.read(tid, lineBase(vline), own, kLineBytes);
+    parity_.resize(k);
+    for (auto &p : parity_)
         p.fill(0);
     for (std::size_t i = 0; i < pages.size(); i++) {
         std::uint8_t sib[kLineBytes];
-        if (pages[i] == pageBase(g))
-            mem_.read(tid, lineBase(vline), sib, kLineBytes);
-        else
+        const std::uint8_t *line = own;
+        if (pages[i] != pageBase(g)) {
             mem_.read(tid, nvmDirectVaddr(pages[i] + offset), sib,
                       kLineBytes);
-        for (std::size_t j0 = 0; j0 < layout.parityCount();
-             j0 += kernels::kSeqMaxRoles) {
-            std::size_t jn = std::min(
-                layout.parityCount(), j0 + kernels::kSeqMaxRoles);
+            line = sib;
+        }
+        for (std::size_t j0 = 0; j0 < k; j0 += kernels::kSeqMaxRoles) {
+            std::size_t jn = std::min(k, j0 + kernels::kSeqMaxRoles);
             kernels::KernelSequence seq;
-            seq.source(sib);
+            seq.source(line);
             for (std::size_t j = j0; j < jn; j++)
-                seq.parityGfMac(par[j].data(), rs.coeff(j, i));
+                seq.parityGfMac(parity_[j].data(), rs.coeff(j, i));
             seq.run();
         }
     }
-    for (std::size_t j = 0; j < layout.parityCount(); j++) {
+    for (std::size_t j = 0; j < k; j++) {
         mem_.write(tid, nvmDirectVaddr(layout.parityLineOf(g, j)),
-                   par[j].data(), kLineBytes);
+                   parity_[j].data(), kLineBytes);
     }
 }
 

@@ -23,6 +23,8 @@
 
 #pragma once
 
+#include <array>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -64,13 +66,18 @@ class RedundancyScheme
     explicit RedundancyScheme(MemorySystem &mem) : mem_(mem) {}
 
     /**
-     * Recompute and write the parity line covering the data line that
-     * backs @p vline: reads the stripe's sibling lines and the dirty
-     * line itself through the caches, XORs, writes the parity line.
+     * Recompute and write the parity lines covering the data line that
+     * backs @p vline: reads the dirty line itself and the stripe's
+     * sibling lines through the caches, encodes, writes every parity
+     * role.
      */
     void recomputeParityLine(int tid, Addr vline);
 
     MemorySystem &mem_;
+
+  private:
+    /** recomputeParityLine's parity scratch, reused across lines. */
+    std::vector<std::array<std::uint8_t, kLineBytes>> parity_;
 };
 
 /** Pangolin-like object-granular checksums. */

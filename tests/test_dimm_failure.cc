@@ -237,6 +237,70 @@ TEST(DimmFailure, RsSecondFailureMidRebuildBitExact)
     EXPECT_EQ(ia, ib) << "rebuilt image differs from never-failed twin";
 }
 
+TEST(DimmFailure, RsMachineSharesOneCodec)
+{
+    // The TVARAK engine's parity updates, degraded reads, the rebuild
+    // sweep and verifyParity all decode with the machine's one codec:
+    // a whole failure lifecycle builds exactly one RsCode.
+    const Design *d = findDesign("tvarak-rs4+2");
+    ASSERT_NE(d, nullptr);
+    std::uint64_t ctors = RsCode::constructions();
+    MapRig rig(*d);
+    std::size_t a = rig.mem.nvmArray().dimmOf(rig.fs.filePage(0, 1));
+    std::unique_ptr<RebuildEngine> rebuild;
+    rig.run([&](std::size_t i) {
+        if (i == 50)
+            rig.mem.failDimm(a);
+        if (i == 140) {
+            rig.mem.replaceDimm(a);
+            rebuild = std::make_unique<RebuildEngine>(rig.mem, &rig.fs);
+        }
+    });
+    ASSERT_NE(rebuild, nullptr);
+    rebuild->runToCompletion();
+    rig.mem.flushAll();
+    EXPECT_EQ(rig.fs.verifyParity(), 0u);
+    EXPECT_GT(rig.mem.stats().degradedReads, 0u);
+    EXPECT_GT(rig.mem.stats().rebuildLines, 0u);
+    EXPECT_EQ(RsCode::constructions(), ctors + 1);
+}
+
+TEST(DimmFailure, DoubleFaultReadChargesOnlyLiveMembers)
+{
+    // Single parity with two members of a stripe dead: the degraded
+    // read cannot decode. It reads (and bills) the surviving members
+    // only — a dead DIMM serves no read, so its occupancy must not
+    // move — and reports a detected loss.
+    MapRig rig(DesignKind::Tvarak);
+    rig.run([](std::size_t) {});
+    rig.mem.dropCaches();  // cold: the read below must fill
+    NvmArray &nvm = rig.mem.nvmArray();
+    Addr line = rig.fs.filePage(0, 1);
+    std::size_t a = nvm.dimmOf(line);
+    std::size_t b = (a + 1) % rig.mem.config().nvm.dimms;
+    rig.mem.failDimm(a);
+    rig.mem.failDimm(b);
+
+    const Stats &stats = rig.mem.stats();
+    std::vector<Cycles> busy = stats.dimmBusyCycles;
+    std::uint64_t reads = stats.degradedReads;
+    std::uint64_t detected = stats.corruptionsDetected;
+    std::uint8_t got[kLineBytes];
+    rig.mem.read(0, nvmDirectVaddr(line), got, kLineBytes);
+
+    EXPECT_EQ(stats.degradedReads, reads + 1);
+    EXPECT_GT(stats.corruptionsDetected, detected);
+    EXPECT_EQ(stats.dimmBusyCycles[a], busy[a]);
+    EXPECT_EQ(stats.dimmBusyCycles[b], busy[b]);
+    for (std::size_t d = 0; d < busy.size(); d++) {
+        if (d != a && d != b) {
+            EXPECT_GT(stats.dimmBusyCycles[d], busy[d]) << "dimm " << d;
+        }
+    }
+    for (std::uint8_t byte : got)
+        ASSERT_EQ(byte, NvmDimm::kPoisonByte);
+}
+
 TEST(DimmFailure, UnmappedIoDetectsOrServesCorrect)
 {
     // The software-redundancy (pread/pwrite) path under Baseline: even

@@ -106,6 +106,29 @@ TEST_P(LayoutGeometry, StripeDataPagesExcludesParity)
 INSTANTIATE_TEST_SUITE_P(DimmCounts, LayoutGeometry,
                          ::testing::Values(2, 3, 4, 6, 8));
 
+TEST(Layout, DataMemberIndexIsRankInStripeDataPages)
+{
+    // dataMemberIndexOf's closed form must agree with the position in
+    // stripeDataPages (coding order) for every k, including parity
+    // runs that wrap past member slot 0.
+    std::vector<Addr> pages;
+    for (std::size_t dimms = 2; dimms <= 8; dimms++) {
+        for (std::size_t k = 1; k < dimms; k++) {
+            Layout layout(16ull << 20, dimms, k);
+            for (std::size_t s = 0; s < 2 * dimms; s++) {
+                Addr in_stripe = layout.dataBase() +
+                    static_cast<Addr>(s) * dimms * kPageBytes;
+                layout.stripeDataPages(in_stripe, pages);
+                ASSERT_EQ(pages.size(), dimms - k);
+                for (std::size_t i = 0; i < pages.size(); i++) {
+                    ASSERT_EQ(layout.dataMemberIndexOf(pages[i] + 64), i)
+                        << dimms << " DIMMs, k=" << k << ", stripe " << s;
+                }
+            }
+        }
+    }
+}
+
 TEST(Layout, ParityLineSameInPageOffset)
 {
     Layout layout(32ull << 20, 4);
