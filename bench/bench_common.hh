@@ -29,13 +29,6 @@
  *                      added automatically as the normalization
  *                      reference. Default: the four paper designs.
  *
- *   --kernel NAME      force the data-plane kernel backend (scalar,
- *                      sse42, avx2, or auto for the best this host
- *                      supports; also settable via TVARAK_KERNEL).
- *                      Simulated results are bit-identical across
- *                      backends — only the simulator's own wall-clock
- *                      changes.
- *
  * Unknown flags and malformed values are usage errors (exit 2) — a
  * typo must never silently run the wrong experiment.
  */
@@ -188,9 +181,6 @@ struct BenchJsonEntry {
     std::uint64_t nvmDataAccesses = 0;
     std::uint64_t nvmRedAccesses = 0;
     std::uint64_t cacheAccesses = 0;
-    /** Per-experiment wall time; emitted only when > 0 (set by
-     *  bench_selfperf, which times each experiment individually). */
-    double wallSeconds = 0;
 };
 
 /** Flatten figure rows into JSON entries (norm against Baseline). */

@@ -5,8 +5,8 @@
  * measure *host* throughput of the kernels (they justify the
  * swChecksumBytesPerCycle compute model used for the TxB schemes).
  *
- * Each kernel is benchmarked once per compiled backend (scalar,
- * sse42, avx2 — unavailable backends are skipped at registration), so
+ * Each kernel is benchmarked once per compiled backend (scalar and
+ * avx2; an unavailable backend is skipped at registration), so
  * a single run shows the per-backend delta that the runtime dispatch
  * buys on this host.
  */
@@ -172,7 +172,7 @@ registerBackendRows()
 }
 
 // ------------------------------------------------------------------
-// Facade rows (dispatched backend — whatever TVARAK_KERNEL picked).
+// Facade rows (the backend startup dispatch picked).
 // ------------------------------------------------------------------
 
 void

@@ -4,7 +4,7 @@ bar charts (one chart per figure), mirroring the paper's normalized
 bar plots.
 
 Usage:
-    for b in build/bench/*; do $b; done | tee bench_output.txt
+    scripts/run_all.sh       # writes bench_output.txt, then plots it
     scripts/plot_results.py bench_output.txt
 """
 

@@ -9,8 +9,8 @@
  * a corrupted line really fails verification and is really rebuilt.
  *
  * The byte loops themselves live in src/kernels/ behind the
- * runtime-dispatched KernelOps table (scalar slicing-by-eight, SSE4.2
- * hardware CRC32, AVX2); this header is the line/page-semantic facade
+ * runtime-dispatched KernelOps table (scalar slicing-by-eight, or AVX2
+ * with hardware CRC32); this header is the line/page-semantic facade
  * the rest of the system uses. CRC-32C is both the functional checksum
  * and the model behind the software schemes' compute-cost
  * (SimConfig::swChecksumBytesPerCycle).

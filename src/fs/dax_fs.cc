@@ -311,11 +311,13 @@ DaxFs::daxMap(int fd)
     // cached state at the boundary so neither domain can observe the
     // other's writes stale (map/unmap is a rare, heavyweight event).
     mem_.dropCaches();
+    DaxCsumFormat fmt = mem_.daxCsumFormat();
     for (std::size_t p = 0; p < f.pages; p++) {
         Addr nvm_page = pageOfVpage(f.firstVpage + p);
-        mem_.tvarak().initDaxClChecksums(nvm_page);
+        if (fmt != DaxCsumFormat::Page)
+            mem_.tvarak().initDaxClChecksums(nvm_page);
         mem_.tvarak().registerDaxPage(nvm_page);
-        if (mem_.designObj().engineCoversDaxData()) {
+        if (fmt == DaxCsumFormat::Line) {
             // Coverage moved to the DAX-CL-checksums: return the page
             // checksum slot to a canonical zero, so the at-rest
             // metadata image is a pure function of the mapping state
@@ -545,7 +547,7 @@ DaxFs::scrubPage(int fd, std::size_t pageIdx, bool repair)
     if (degraded && nvm.lineDegraded(nvm_page + kPageBytes - kLineBytes))
         return 0;
     std::size_t bad_lines = 0;
-    if (f.mapped && mem_.designObj().engineCoversDaxData()) {
+    if (f.mapped && mem_.daxCsumFormat() == DaxCsumFormat::Line) {
         for (std::size_t l = 0; l < kLinesPerPage; l++) {
             Addr line = nvm_page + l * kLineBytes;
             Addr csum_line = layout.daxClCsumLine(line);
@@ -571,12 +573,17 @@ DaxFs::scrubPage(int fd, std::size_t pageIdx, bool repair)
         return bad_lines;
     }
     Addr slot = layout.pageCsumAddr(nvm_page);
-    if (degraded && nvm.lineDegraded(lineBase(slot)))
+    Addr slot_line = lineBase(slot);
+    if (degraded && nvm.lineDegraded(slot_line))
         return 0;
     std::uint8_t page[kPageBytes];
     nvm.rawRead(nvm_page, page, kPageBytes);
+    // Naive TVARAK may hold the slot's line dirty in its caches; for
+    // every other design the peek is a media read.
+    std::uint8_t cbuf[kLineBytes];
+    mem_.tvarak().peekRedLine(slot_line, cbuf);
     std::uint64_t expected;
-    nvm.rawRead(slot, &expected, kChecksumBytes);
+    std::memcpy(&expected, cbuf + (slot - slot_line), kChecksumBytes);
     stats.scrubLines += kLinesPerPage;
     if (pageChecksum(page) != expected) {
         bad_lines++;

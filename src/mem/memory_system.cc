@@ -643,6 +643,15 @@ MemorySystem::memberLine(Addr nvmAddr, bool, std::uint8_t *out)
     }
 }
 
+DaxCsumFormat
+MemorySystem::daxCsumFormat() const
+{
+    if (!design_->engineCoversDaxData())
+        return DaxCsumFormat::Software;
+    return engine_.params().useDaxClChecksums ? DaxCsumFormat::Line
+                                              : DaxCsumFormat::Page;
+}
+
 bool
 MemorySystem::stripeIsEngineWorld(Addr line)
 {

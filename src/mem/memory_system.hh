@@ -57,6 +57,20 @@ class TraceSink;
 class Design;
 class MemController;
 
+/** Where the at-rest checksums of DAX-mapped data pages live. */
+enum class DaxCsumFormat {
+    /** The design's engine does not cover DAX data: the page checksum
+     *  slot keeps what software last wrote, and the DAX-CL slots keep
+     *  their map-time values. */
+    Software,
+    /** The engine keeps one DAX-CL checksum per line; the page
+     *  checksum slot is held at zero while the page is mapped. */
+    Line,
+    /** Naive TVARAK: the engine keeps the page checksum slot current
+     *  and never uses the DAX-CL slots, which stay zero. */
+    Page,
+};
+
 class MemorySystem final : private StripeView::Source
 {
   public:
@@ -175,6 +189,10 @@ class MemorySystem final : private StripeView::Source
     DesignKind design() const;
     /** The active design object (policy queries, scheme vending). */
     const Design &designObj() const { return *design_; }
+    /** Checksum format of DAX-mapped data under this design and the
+     *  engine's own params: the one answer daxMap, the scrubber and
+     *  the rebuild engine share. */
+    DaxCsumFormat daxCsumFormat() const;
     const SimConfig &config() const { return cfg_; }
     Stats &stats() { return stats_; }
     const Stats &stats() const { return stats_; }

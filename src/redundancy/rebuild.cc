@@ -84,7 +84,7 @@ RebuildEngine::pageCsumSlotValue(std::size_t slotIdx)
         return 0;  // padding slots beyond the trimmed data region
     if (layout.isParityPage(page))
         return 0;  // parity pages carry no page checksum
-    if (mem_.designObj().engineCoversDaxData() &&
+    if (mem_.daxCsumFormat() == DaxCsumFormat::Line &&
         mem_.tvarak().isDaxData(page)) {
         // Coverage moved to the DAX-CL-checksums at map time.
         return 0;
@@ -110,6 +110,8 @@ RebuildEngine::daxClSlotValue(std::size_t slotIdx)
         return 0;
     if (!mem_.tvarak().isDaxData(line))
         return 0;  // slots return to zero at dax-unmap
+    if (mem_.daxCsumFormat() == DaxCsumFormat::Page)
+        return 0;  // naive TVARAK never writes them
     std::uint8_t buf[kLineBytes];
     mem_.rebuildRead(line, buf);
     return lineChecksum(buf);
