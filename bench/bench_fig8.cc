@@ -63,7 +63,7 @@ WorkloadFactory
 redisFactory(RedisWorkload::Mode mode, std::size_t scale)
 {
     return [mode, scale](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         RedisWorkload::Params p;
         p.mode = mode;
@@ -95,7 +95,7 @@ treeFactory(MapKind kind, TreeWorkload::Mix mix, std::size_t scale)
 {
     return [kind, mix, scale](MemorySystem &mem,
                               DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         TreeWorkload::Params p;
         p.kind = kind;
@@ -134,7 +134,7 @@ WorkloadFactory
 nstoreFactory(NStoreWorkload::Mix mix, std::size_t scale)
 {
     return [mix, scale](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         // 262144 x 1KB tuples: the 8% hot set (~21.5 MB) fits the full
         // 24 MB LLC but not TVARAK's 19.5 MB data partition,
         // reproducing the paper's cache sensitivity.
@@ -179,7 +179,7 @@ fioFactory(FioWorkload::Pattern pattern, std::size_t regionBytes)
 {
     return [pattern, regionBytes](MemorySystem &mem,
                                   DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         FioWorkload::Params p;
         p.pattern = pattern;
@@ -215,7 +215,7 @@ streamFactory(StreamWorkload::Kernel kernel, std::size_t chunkBytes)
 {
     return [kernel, chunkBytes](MemorySystem &mem,
                                 DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         StreamWorkload::Params p;
         p.kernel = kernel;

@@ -19,7 +19,7 @@ WorkloadFactory
 streamCopyFactory(std::size_t chunk)
 {
     return [chunk](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         StreamWorkload::Params p;
         p.kernel = StreamWorkload::Kernel::Copy;

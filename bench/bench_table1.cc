@@ -20,7 +20,7 @@ WorkloadFactory
 smallInsertFactory()
 {
     return [](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         TreeWorkload::Params p;
         p.kind = MapKind::CTree;

@@ -9,9 +9,30 @@
 
 #include "bench_common.hh"
 #include "mem/memory_system.hh"
+#include "redundancy/registry.hh"
 
 using namespace tvarak;
 using namespace tvarak::bench;
+
+namespace {
+
+const char *
+ladderName(TvarakLadder point)
+{
+    switch (point) {
+      case TvarakLadder::Naive:
+        return "Naive";
+      case TvarakLadder::DaxClCsums:
+        return "DaxClCsums";
+      case TvarakLadder::RedundancyCaching:
+        return "RedundancyCaching";
+      case TvarakLadder::DataDiffs:
+        return "DataDiffs";
+    }
+    return "?";
+}
+
+}  // namespace
 
 int
 main(int argc, char **argv)
@@ -50,8 +71,8 @@ main(int argc, char **argv)
                 cfg.nvm.writeEnergy / 1000.0);
     std::printf("                 geometry (pinned by the selected "
                 "design; see tvarak-rs4+2/-rs6+2):\n"
-                "                 parityDimms=%zu, dimmsPerDomain=%zu\n",
-                cfg.nvm.parityDimms, cfg.nvm.dimmsPerDomain);
+                "                 parityDimms=%zu\n",
+                cfg.nvm.parityDimms);
     std::printf("TVARAK           %zu B %zu-way on-controller cache, "
                 "%llu cycle latency, %.0f/%.0f pJ hit/miss,\n"
                 "                 %llu cycles address range matching, "
@@ -65,13 +86,15 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(
                     cfg.tvarak.computeLatency),
                 cfg.tvarak.redundancyWays, cfg.tvarak.diffWays);
-    std::printf("                 features (pinned by the selected "
-                "design; see tvarak-naive/-no-red-cache/-no-diffs):\n"
-                "                 useDaxClChecksums=%s, "
-                "useRedundancyCaching=%s, useDataDiffs=%s\n",
-                cfg.tvarak.useDaxClChecksums ? "true" : "false",
-                cfg.tvarak.useRedundancyCaching ? "true" : "false",
-                cfg.tvarak.useDataDiffs ? "true" : "false");
+    std::printf("                 Fig-9 ladder point of each TVARAK "
+                "design:\n");
+    for (const Design *d : allRegisteredDesigns()) {
+        if (d->engineCoversDaxData()) {
+            std::printf("                   %-20s %s\n",
+                        d->cliName().c_str(),
+                        ladderName(d->tvarakLadder()));
+        }
+    }
 
     MemorySystem mem(cfg, DesignKind::Tvarak);
     double area = static_cast<double>(
@@ -85,12 +108,10 @@ main(int argc, char **argv)
     std::printf("Timing-model knobs (this reproduction): "
                 "storeIssueCycles=%llu, storeMissLatencyFactor=%.2f,\n"
                 "prefetchDegree=%zu, occupancyRead/WriteFactor=%.2f/%.2f, "
-                "swChecksumBytesPerCycle=%.0f,\n"
-                "syncVerification=%s\n",
+                "swChecksumBytesPerCycle=%.0f\n",
                 static_cast<unsigned long long>(cfg.storeIssueCycles),
                 cfg.storeMissLatencyFactor, cfg.prefetchDegree,
                 cfg.nvm.occupancyReadFactor, cfg.nvm.occupancyWriteFactor,
-                cfg.swChecksumBytesPerCycle,
-                cfg.tvarak.syncVerification ? "true" : "false");
+                cfg.swChecksumBytesPerCycle);
     return 0;
 }

@@ -27,7 +27,7 @@ treeFactory(RedundancyScheme *sharedScheme, std::size_t scale)
                                  DaxFs &fs) -> WorkloadSet {
         // For Vilamb rows the scheme is built per-machine outside;
         // for design rows fall back to the design's own scheme.
-        auto own = makeScheme(mem.design(), mem);
+        auto own = mem.designObj().makeScheme(mem);
         RedundancyScheme *scheme =
             sharedScheme != nullptr ? sharedScheme : own.get();
         WorkloadSet set;

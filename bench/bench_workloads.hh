@@ -24,7 +24,7 @@ inline WorkloadFactory
 redisSetFactory(std::size_t scale)
 {
     return [scale](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         RedisWorkload::Params p;
         p.requests = 16384 * scale;
@@ -44,7 +44,7 @@ inline WorkloadFactory
 ctreeInsertFactory(std::size_t scale)
 {
     return [scale](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         TreeWorkload::Params p;
         p.kind = MapKind::CTree;
@@ -66,7 +66,7 @@ inline WorkloadFactory
 nstoreBalancedFactory(std::size_t scale)
 {
     return [scale](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         auto store = std::make_shared<NStore>(
             mem, fs, scheme.get(), 262144 * scale, 16384 * scale, 4);
         WorkloadSet set;
@@ -91,7 +91,7 @@ inline WorkloadFactory
 fioRandWriteFactory(std::size_t scale)
 {
     return [scale](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         FioWorkload::Params p;
         p.pattern = FioWorkload::Pattern::RandWrite;
@@ -112,7 +112,7 @@ inline WorkloadFactory
 streamTriadFactory(std::size_t scale)
 {
     return [scale](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         StreamWorkload::Params p;
         p.kernel = StreamWorkload::Kernel::Triad;

@@ -16,15 +16,18 @@
  *    the update engine (every LLC->NVM writeback of a DAX line);
  *  - line recovery from cross-DIMM parity on checksum mismatch.
  *
- * Design-ablation switches (TvarakParams::use*) reproduce Fig 9:
- * with all three off this is the naive controller of Section III
- * (page-granular checksums that read the whole page, no redundancy
- * caching, old-data reads instead of diffs).
+ * The design's Fig-9 ladder point (TvarakLadder) selects how much of
+ * the machinery runs: at TvarakLadder::Naive this is the naive
+ * controller of Section III (page-granular checksums that read the
+ * whole page, no redundancy caching, old-data reads instead of diffs).
  *
- * Timing contract: verification work is on the demand path and its
- * cycles are *returned* to the caller to charge to the loading thread;
- * update work happens at writeback time, off the critical path — it
- * contributes NVM occupancy and energy only.
+ * Timing contract: fill verification runs concurrently with data
+ * delivery — the controller raises an interrupt on mismatch (Section
+ * III-E) — so it costs bandwidth and energy but no demand latency.
+ * Verifying a degraded read's reconstruction is on the demand path
+ * and its cycles are *returned* to the caller. Update work happens at
+ * writeback time, off the critical path — it contributes NVM
+ * occupancy and energy only.
  */
 
 #pragma once
@@ -48,10 +51,12 @@ namespace tvarak {
 class TvarakEngine final : public StripeView::Source
 {
   public:
-    /** @p stripes is the machine's stripe view (and codec); the
-     *  engine reconstructs through it with its at-rest source. */
-    TvarakEngine(const SimConfig &cfg, Layout &layout, NvmArray &nvm,
-                 Stats &stats, StripeView &stripes);
+    /** @p ladder is the design's Fig-9 point; @p stripes is the
+     *  machine's stripe view (and codec), through which the engine
+     *  reconstructs with its at-rest source. */
+    TvarakEngine(const SimConfig &cfg, TvarakLadder ladder,
+                 Layout &layout, NvmArray &nvm, Stats &stats,
+                 StripeView &stripes);
 
     /** @name Software management interface (used by DaxFs). */
     /**@{*/
@@ -74,15 +79,14 @@ class TvarakEngine final : public StripeView::Source
      * @param bank      LLC bank of the data line (= controller index).
      * @param nvmAddr   NVM-global line address.
      * @param lineData  the 64 B just fetched; repaired on corruption.
-     * @return demand-path cycles consumed by verification.
      */
-    Cycles verifyFill(std::size_t bank, Addr nvmAddr,
-                      std::uint8_t *lineData);
+    void verifyFill(std::size_t bank, Addr nvmAddr,
+                    std::uint8_t *lineData);
 
     /**
      * A DAX line in the LLC transitioned clean->dirty or received new
      * dirty data: capture/refresh its diff in the bank's diff
-     * partition (paper Section III-D). No-op unless useDataDiffs.
+     * partition (paper Section III-D). No-op below the DataDiffs point.
      *
      * The diff's *value* is always (media XOR current-line), which the
      * engine reconstructs at writeback time; the partition models the
@@ -188,7 +192,8 @@ class TvarakEngine final : public StripeView::Source
     /** Dedicated SRAM bytes per controller (area accounting). */
     std::size_t dedicatedBytesPerController() const;
 
-    const TvarakParams &params() const { return params_; }
+    /** The design's Fig-9 ladder point. */
+    TvarakLadder ladder() const { return ladder_; }
 
   private:
     /** Home LLC bank of a redundancy line. */
@@ -197,8 +202,8 @@ class TvarakEngine final : public StripeView::Source
 
     /**
      * Access one redundancy line through the caching hierarchy
-     * (on-controller cache -> LLC partition -> NVM), honouring
-     * useRedundancyCaching.
+     * (on-controller cache -> LLC partition -> NVM); straight to NVM
+     * below the RedundancyCaching ladder point.
      *
      * @param ctrl    controller performing the access.
      * @param raddr   redundancy line address (checksum/parity line).
@@ -212,7 +217,7 @@ class TvarakEngine final : public StripeView::Source
     /** Tally an NVM redundancy access as checksum- or parity-line. */
     void classifyRedNvmAccess(Addr raddr);
 
-    /** Uncached variant (useRedundancyCaching == false). */
+    /** Uncached variant (below the RedundancyCaching point). */
     Cycles redLineAccessUncached(Addr raddr, bool write, std::uint8_t *buf,
                                  bool demand);
 
@@ -234,8 +239,8 @@ class TvarakEngine final : public StripeView::Source
     void naivePageChecksumUpdate(std::size_t bank, Addr nvmAddr,
                                  const std::uint8_t *newData);
     /** Verify against the page checksum (naive mode). */
-    Cycles naivePageChecksumVerify(std::size_t bank, Addr nvmAddr,
-                                   std::uint8_t *lineData);
+    void naivePageChecksumVerify(std::size_t bank, Addr nvmAddr,
+                                 std::uint8_t *lineData);
 
     /** Read the current at-rest page content with @p nvmAddr's line
      *  replaced by @p newData, charging @p chargeAccesses NVM reads. */
@@ -245,6 +250,11 @@ class TvarakEngine final : public StripeView::Source
 
     const SimConfig &cfg_;
     TvarakParams params_;
+    TvarakLadder ladder_;
+    /** What ladder_ enables (cumulative, paper Section III). */
+    bool daxClCsums_;  //!< DAX-CL checksums; else page checksums
+    bool redCaching_;  //!< redundancy caching; else straight to NVM
+    bool dataDiffs_;   //!< diff partition; else old-data re-reads
     Layout &layout_;
     NvmArray &nvm_;
     Stats &stats_;

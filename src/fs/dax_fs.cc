@@ -5,7 +5,6 @@
 
 #include "checksum/checksum.hh"
 #include "checksum/gf256.hh"
-#include "kernels/kernels.hh"
 #include "redundancy/registry.hh"
 #include "sim/log.hh"
 #include "trace/sink.hh"
@@ -34,6 +33,33 @@ struct Superblock {
     SbEntry entries[kSbMaxFiles];
 };
 static_assert(sizeof(Superblock) <= kPageBytes);
+
+/**
+ * Encode the parity of @p page's stripe from its data pages' media
+ * bytes. @p stripe receives the n+k member pages in StripeView's
+ * order (data pages in coding-index order, then parity roles
+ * 0..k-1), each in-page line encoded with the machine's codec.
+ */
+void
+encodeStripeFromMedia(MemorySystem &mem, Addr page,
+                      std::vector<std::uint8_t> &stripe)
+{
+    const RsCode &rs = mem.rsCodec();
+    const std::size_t members = rs.n() + rs.k();
+    std::vector<Addr> pages;
+    mem.layout().stripeDataPages(page, pages);
+    stripe.resize(members * kPageBytes);
+    for (std::size_t i = 0; i < pages.size(); i++) {
+        mem.nvmArray().rawRead(pages[i], stripe.data() + i * kPageBytes,
+                               kPageBytes);
+    }
+    std::vector<std::uint8_t *> lines(members);
+    for (std::size_t l = 0; l < kLinesPerPage; l++) {
+        for (std::size_t m = 0; m < members; m++)
+            lines[m] = stripe.data() + m * kPageBytes + l * kLineBytes;
+        rs.encode(lines.data());
+    }
+}
 
 }  // namespace
 
@@ -69,30 +95,21 @@ DaxFs::writeSuperblock()
     // its stripe's parity members (all k roles) consistent with the
     // out-of-band write.
     const Layout &layout = mem_.layout();
-    std::vector<Addr> pages;
-    layout.stripeDataPages(sb_page, pages);
-    const RsCode &rs = mem_.rsCodec();
-    std::vector<std::uint8_t> buf(kPageBytes);
-    std::vector<Addr> parity_pages;
+    std::vector<std::uint8_t> stripe;
+    encodeStripeFromMedia(mem_, sb_page, stripe);
+    std::vector<Addr> touched{sb_page};
     for (std::size_t j = 0; j < layout.parityCount(); j++) {
         Addr parity_page = layout.parityPageOf(sb_page, j);
-        parity_pages.push_back(parity_page);
-        std::vector<std::uint8_t> acc(kPageBytes, 0);
-        for (std::size_t i = 0; i < pages.size(); i++) {
-            mem_.nvmArray().rawRead(pages[i], buf.data(), kPageBytes);
-            for (std::size_t l = 0; l < kLinesPerPage; l++) {
-                rs.updateParity(acc.data() + l * kLineBytes,
-                                buf.data() + l * kLineBytes, j, i);
-            }
-        }
-        mem_.nvmArray().rawWrite(parity_page, acc.data(), kPageBytes);
+        touched.push_back(parity_page);
+        mem_.nvmArray().rawWrite(
+            parity_page,
+            stripe.data() + (layout.dataCount() + j) * kPageBytes,
+            kPageBytes);
     }
     // The raw writes bypass the caches: keep the current-value store
     // in sync for lines no cache holds (the superblock is never read
     // through the timed path, and degraded-mode reconstruction in the
     // current-value world depends on this parity being fresh).
-    std::vector<Addr> touched = parity_pages;
-    touched.insert(touched.begin(), sb_page);
     std::uint8_t line_buf[kLineBytes];
     for (std::size_t l = 0; l < kLinesPerPage; l++) {
         for (Addr page : touched) {
@@ -615,12 +632,9 @@ DaxFs::verifyParity()
     const Layout &layout = mem_.layout();
     const std::size_t n = layout.dataCount();
     const std::size_t k = layout.parityCount();
-    const RsCode &rs = mem_.rsCodec();
     std::size_t bad = 0;
-    std::vector<Addr> pages;
-    std::vector<std::vector<std::uint8_t>> acc(
-        k, std::vector<std::uint8_t>(kPageBytes));
-    std::vector<std::uint8_t> page(kPageBytes);
+    std::vector<std::uint8_t> stripe;
+    std::vector<std::uint8_t> media(kPageBytes);
     // Only stripes that can hold allocated data need checking; the
     // rest are all-zero and trivially consistent.
     std::size_t used_stripes = (nextDataPage_ + n - 1) / n;
@@ -642,24 +656,14 @@ DaxFs::verifyParity()
         // Re-encode the stripe's data members and compare every
         // parity role against media (role 0 degenerates to the XOR
         // check the single-parity designs have always used).
-        for (std::size_t j = 0; j < k; j++) {
-            mem_.nvmArray().rawRead(layout.parityPageOf(first, j),
-                                    acc[j].data(), kPageBytes);
-        }
-        layout.stripeDataPages(first, pages);
-        for (std::size_t i = 0; i < pages.size(); i++) {
-            mem_.nvmArray().rawRead(pages[i], page.data(), kPageBytes);
-            for (std::size_t j = 0; j < k; j++) {
-                for (std::size_t l = 0; l < kLinesPerPage; l++) {
-                    rs.updateParity(acc[j].data() + l * kLineBytes,
-                                    page.data() + l * kLineBytes, j, i);
-                }
-            }
-        }
+        encodeStripeFromMedia(mem_, first, stripe);
         bool stripe_bad = false;
         for (std::size_t j = 0; j < k && !stripe_bad; j++) {
-            stripe_bad =
-                !kernels::ops().isZero(acc[j].data(), kPageBytes);
+            mem_.nvmArray().rawRead(layout.parityPageOf(first, j),
+                                    media.data(), kPageBytes);
+            stripe_bad = std::memcmp(media.data(),
+                                     stripe.data() + (n + j) * kPageBytes,
+                                     kPageBytes) != 0;
         }
         if (stripe_bad)
             bad++;

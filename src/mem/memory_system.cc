@@ -36,23 +36,16 @@ MemorySystem::MemorySystem(const SimConfig &cfg, const Design &design)
       // possibly-temporary argument.
       nvm_(cfg_.nvm, cfg_, stats_),
       stripes_(layout_, nvm_),
-      engine_(cfg_, layout_, nvm_, stats_, stripes_),
+      engine_(cfg_, design.tvarakLadder(), layout_, nvm_, stats_,
+              stripes_),
       dram_(cfg_.dram.sizeBytes),
       nvmCur_(cfg_.nvm.dimms * cfg_.nvm.dimmBytes),
       dramBrk_(kLineBytes)  // never hand out address 0
 {
-    // A failure-domain fault takes out dimmsPerDomain DIMMs at once;
-    // grouping DIMMs into multi-DIMM domains is only meaningful when
-    // the active design can decode through a whole-domain loss.
-    fatal_if(cfg_.nvm.dimmsPerDomain > 1 &&
-                 cfg_.nvm.dimmsPerDomain > design.survivableFailures(),
-             "nvm.dimmsPerDomain (%zu) exceeds design '%s' "
-             "survivable failures (%zu)",
-             cfg_.nvm.dimmsPerDomain, design.cliName().c_str(),
-             design.survivableFailures());
     // The design's hardware borrows LLC ways for its partitions;
-    // designs without controller hardware (and disabled ablation
-    // elements) leave those ways to application data.
+    // designs without controller hardware (and ladder points below
+    // the partition's optimization) leave those ways to application
+    // data.
     llcDataWays_ = cfg_.llcBank.ways - design.reservedLlcWays(cfg_);
     std::size_t llc_sets =
         cfg_.llcBank.sizeBytes / (cfg_.llcBank.ways * kLineBytes);
@@ -405,7 +398,7 @@ MemorySystem::llcEnsure(int core, Addr paddr, bool isNvm, bool isWrite,
                 lat += degradedFill(bank, g, media);
             } else {
                 lat += nvm_.access(g, false, media, isRedundancyAddr(g));
-                lat += ctrl_->fillLine(bank, g, media);
+                ctrl_->fillLine(bank, g, media);
             }
             // The fill's view becomes the architectural value.
             std::memcpy(funcPtr(paddr, true), media, kLineBytes);
@@ -497,9 +490,7 @@ MemorySystem::prefetchLine(Addr paddr, bool isNvm)
             degradedFill(bank, g, media);
         } else {
             nvm_.access(g, false, media, isRedundancyAddr(g));
-            // Prefetches are off the demand path: verification
-            // happens (energy, stats) but its cycles are discarded.
-            (void)ctrl_->fillLine(bank, g, media);
+            ctrl_->fillLine(bank, g, media);
         }
         std::memcpy(funcPtr(paddr, true), media, kLineBytes);
     } else {
@@ -648,8 +639,9 @@ MemorySystem::daxCsumFormat() const
 {
     if (!design_->engineCoversDaxData())
         return DaxCsumFormat::Software;
-    return engine_.params().useDaxClChecksums ? DaxCsumFormat::Line
-                                              : DaxCsumFormat::Page;
+    return engine_.ladder() >= TvarakLadder::DaxClCsums
+        ? DaxCsumFormat::Line
+        : DaxCsumFormat::Page;
 }
 
 bool

@@ -189,8 +189,8 @@ class MemorySystem final : private StripeView::Source
     DesignKind design() const;
     /** The active design object (policy queries, scheme vending). */
     const Design &designObj() const { return *design_; }
-    /** Checksum format of DAX-mapped data under this design and the
-     *  engine's own params: the one answer daxMap, the scrubber and
+    /** Checksum format of DAX-mapped data under this design and its
+     *  Fig-9 ladder point: the one answer daxMap, the scrubber and
      *  the rebuild engine share. */
     DaxCsumFormat daxCsumFormat() const;
     const SimConfig &config() const { return cfg_; }

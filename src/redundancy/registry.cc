@@ -33,25 +33,20 @@ toLower(std::string s)
  * The hardware contribution of the paper: per-LLC-bank controllers
  * verifying DAX fills, capturing diffs on clean->dirty transitions
  * and updating checksums + parity at writeback. All heavy lifting
- * lives in TvarakEngine; this adapter scopes it to DAX lines and
- * applies the timing contract (verification cycles land on the
- * demand path only under syncVerification).
+ * lives in TvarakEngine; this adapter scopes it to DAX lines.
  */
 class TvarakMemController final : public MemController
 {
   public:
     explicit TvarakMemController(MemorySystem &mem)
-        : engine_(mem.tvarak()),
-          sync_(mem.config().tvarak.syncVerification)
+        : engine_(mem.tvarak())
     {}
 
-    Cycles fillLine(std::size_t bank, Addr nvmAddr,
-                    std::uint8_t *media) override
+    void fillLine(std::size_t bank, Addr nvmAddr,
+                  std::uint8_t *media) override
     {
-        if (!engine_.isDaxData(nvmAddr))
-            return 0;
-        Cycles verify = engine_.verifyFill(bank, nvmAddr, media);
-        return sync_ ? verify : 0;
+        if (engine_.isDaxData(nvmAddr))
+            engine_.verifyFill(bank, nvmAddr, media);
     }
 
     std::optional<Addr> captureDirty(std::size_t bank,
@@ -98,7 +93,6 @@ class TvarakMemController final : public MemController
 
   private:
     TvarakEngine &engine_;
-    bool sync_;
 };
 
 // ------------------------------------------------- concrete designs
@@ -121,9 +115,9 @@ class TvarakDesign : public Design
     std::size_t reservedLlcWays(const SimConfig &cfg) const override
     {
         std::size_t ways = 0;
-        if (cfg.tvarak.useRedundancyCaching)
+        if (tvarakLadder() >= TvarakLadder::RedundancyCaching)
             ways += cfg.tvarak.redundancyWays;
-        if (cfg.tvarak.useDataDiffs)
+        if (tvarakLadder() >= TvarakLadder::DataDiffs)
             ways += cfg.tvarak.diffWays;
         return ways;
     }
@@ -151,38 +145,28 @@ class TvarakDesign : public Design
     {}
 };
 
-/** A Fig-9 ablation point: full TVARAK machinery with the cumulative
- *  optimization switches pinned by adjustConfig(). */
+/** A Fig-9 ablation point below full TVARAK: the same machinery,
+ *  stopped at an earlier point of the cumulative ladder. */
 class TvarakVariantDesign final : public TvarakDesign
 {
   public:
     TvarakVariantDesign(std::string cliName, std::string displayName,
-                        bool daxClChecksums, bool redundancyCaching,
-                        bool dataDiffs)
+                        TvarakLadder ladder)
         : TvarakDesign(std::move(cliName), std::move(displayName)),
-          daxClChecksums_(daxClChecksums),
-          redundancyCaching_(redundancyCaching), dataDiffs_(dataDiffs)
+          ladder_(ladder)
     {}
 
-    void adjustConfig(SimConfig &cfg) const override
-    {
-        cfg.tvarak.useDaxClChecksums = daxClChecksums_;
-        cfg.tvarak.useRedundancyCaching = redundancyCaching_;
-        cfg.tvarak.useDataDiffs = dataDiffs_;
-    }
+    TvarakLadder tvarakLadder() const override { return ladder_; }
 
   private:
-    bool daxClChecksums_;
-    bool redundancyCaching_;
-    bool dataDiffs_;
+    TvarakLadder ladder_;
 };
 
 /**
  * A Reed-Solomon n+k geometry: full TVARAK machinery over a GF(2^8)
- * erasure code. adjustConfig pins the array shape the way the Fig-9
- * variants pin the ablation switches — the design owns its geometry,
- * so every harness (bench, trace, fault, service) gets a consistent
- * n+k array just by naming the design.
+ * erasure code. adjustConfig pins the array shape — the design owns
+ * its geometry, so every harness (bench, trace, fault, service) gets
+ * a consistent n+k array just by naming the design.
  */
 class TvarakRsDesign final : public TvarakDesign
 {
@@ -319,12 +303,13 @@ ensureBuiltins()
         // Fig 9 cumulative ablation points (naive -> +DAX-CL-csums ->
         // +red-caching; adding +data-diffs is full "tvarak").
         static const TvarakVariantDesign naive(
-            "tvarak-naive", "Tvarak-Naive", false, false, false);
+            "tvarak-naive", "Tvarak-Naive", TvarakLadder::Naive);
         static const TvarakVariantDesign noRedCache(
-            "tvarak-no-red-cache", "Tvarak-No-Red-Cache", true, false,
-            false);
+            "tvarak-no-red-cache", "Tvarak-No-Red-Cache",
+            TvarakLadder::DaxClCsums);
         static const TvarakVariantDesign noDiffs(
-            "tvarak-no-diffs", "Tvarak-No-Diffs", true, true, false);
+            "tvarak-no-diffs", "Tvarak-No-Diffs",
+            TvarakLadder::RedundancyCaching);
         // Reed-Solomon n+k geometries (double-failure survivable).
         static const TvarakRsDesign rs42("tvarak-rs4+2", "Tvarak-RS4+2",
                                          6, 2);
@@ -441,12 +426,6 @@ designName(DesignKind kind)
         if (d->kind() == kind)
             return d->displayName();
     return "?";
-}
-
-std::unique_ptr<RedundancyScheme>
-makeScheme(DesignKind design, MemorySystem &mem)
-{
-    return designOf(design).makeScheme(mem);
 }
 
 }  // namespace tvarak

@@ -12,8 +12,8 @@
  *
  * Designs live in a string-keyed registry that config, CLI, bench,
  * trace and fault tooling all resolve through: `--design vilamb`
- * works everywhere, and the Fig-9 ablation points are registered
- * `tvarak-*` variants rather than loose SimConfig switches.
+ * works everywhere, and each Fig-9 ablation point is a registered
+ * `tvarak-*` variant that owns its TvarakLadder point.
  *
  * This translation unit pair is the only place allowed to switch or
  * compare on `DesignKind` (lint rule R8): everything else dispatches
@@ -51,17 +51,15 @@ class MemController
 
     /**
      * A line was just read from NVM media into the LLC. May verify
-     * and repair @p media in place.
-     * @return demand-path cycles to charge the loading thread
-     *         (verification overlapped with data delivery returns 0).
+     * and repair @p media in place; verification overlaps data
+     * delivery, so it costs the loading thread no cycles.
      */
-    virtual Cycles fillLine(std::size_t bank, Addr nvmAddr,
-                            std::uint8_t *media)
+    virtual void fillLine(std::size_t bank, Addr nvmAddr,
+                          std::uint8_t *media)
     {
         (void)bank;
         (void)nvmAddr;
         (void)media;
-        return 0;
     }
 
     /**
@@ -159,12 +157,20 @@ class Design
 
     /**
      * Force design-owned SimConfig fields (applied to MemorySystem's
-     * private config copy before anything reads it). The Fig-9
-     * variants pin the deprecated TvarakParams::use* switches here;
-     * the plain designs leave the config untouched so traces that
-     * serialized non-default switch values replay identically.
+     * private config copy before anything reads it). Only the
+     * Reed-Solomon designs use it, to pin their n+k array shape.
      */
     virtual void adjustConfig(SimConfig &cfg) const { (void)cfg; }
+
+    /**
+     * The design's point on the Fig-9 ladder, which MemorySystem hands
+     * to the TVARAK engine. Designs without controller hardware never
+     * drive the engine and keep the full-TVARAK default.
+     */
+    virtual TvarakLadder tvarakLadder() const
+    {
+        return TvarakLadder::DataDiffs;
+    }
 
     /** LLC ways per bank the design's hardware reserves (evaluated
      *  after adjustConfig). */

@@ -164,8 +164,4 @@ TxBPageCsums::onCommit(int tid, const std::vector<DirtyRange> &dirty)
         recomputeParityLine(tid, line);
 }
 
-// makeScheme(DesignKind, MemorySystem&) is implemented by the design
-// registry (src/redundancy/registry.cc): the Design object vends its
-// scheme.
-
 }  // namespace tvarak

@@ -25,7 +25,6 @@
 
 #include <array>
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "mem/memory_system.hh"
@@ -97,12 +96,6 @@ class TxBPageCsums final : public RedundancyScheme
     void onCommit(int tid, const std::vector<DirtyRange> &dirty) override;
     const char *name() const override { return "TxB-Page-Csums"; }
 };
-
-/** Scheme for @p design, or nullptr (Baseline and Tvarak need none).
- *  Convenience shim over the design registry: equivalent to
- *  `designOf(design).makeScheme(mem)` (redundancy/registry.hh). */
-std::unique_ptr<RedundancyScheme> makeScheme(DesignKind design,
-                                             MemorySystem &mem);
 
 }  // namespace tvarak
 

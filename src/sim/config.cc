@@ -38,10 +38,6 @@ SimConfig::validate() const
              "parity count %zu needs at least %zu NVM DIMMs (n+k with "
              "n >= 1)",
              nvm.parityDimms, nvm.parityDimms + 1);
-    fatal_if(nvm.dimmsPerDomain == 0 ||
-             nvm.dimms % nvm.dimmsPerDomain != 0,
-             "%zu DIMMs do not split into domains of %zu",
-             nvm.dimms, nvm.dimmsPerDomain);
     fatal_if(nvm.dimmBytes % kPageBytes != 0,
              "NVM DIMM capacity must be page aligned");
     fatal_if(dram.sizeBytes % kPageBytes != 0,

@@ -43,6 +43,27 @@ enum class DesignKind {
 /** Printable name of a design (implemented by the design registry). */
 const char *designName(DesignKind kind);
 
+/**
+ * The cumulative points of the paper's Fig-9 ablation ladder: TVARAK
+ * is built from the naive controller of Section III one optimization
+ * at a time, and each point keeps every optimization of the points
+ * before it. A design owns its point (Design::tvarakLadder()); it is
+ * not a machine parameter.
+ */
+enum class TvarakLadder {
+    /** Page-granular checksums that read the whole page on every
+     *  fill and writeback, no redundancy caching, old-data re-reads
+     *  instead of diffs (tvarak-naive). */
+    Naive,
+    /** + cache-line granular DAX-CL checksums (tvarak-no-red-cache). */
+    DaxClCsums,
+    /** + redundancy caching: on-controller caches backed by an LLC
+     *  way partition (tvarak-no-diffs). */
+    RedundancyCaching,
+    /** + data diffs kept in an LLC way partition: full TVARAK. */
+    DataDiffs,
+};
+
 /** Parameters of one cache level. */
 struct CacheParams {
     std::size_t sizeBytes;
@@ -83,18 +104,9 @@ struct NvmParams {
      * not by hand — the value must match the active design's codec.
      */
     std::size_t parityDimms = 1;
-    /**
-     * DIMMs per failure domain (adjacent indices share a domain: a
-     * domain fault takes out dimmsPerDomain consecutive DIMMs, e.g. a
-     * riser card or power rail). Page striping already places a
-     * stripe's members on distinct DIMMs, so a domain loss costs at
-     * most dimmsPerDomain stripe members — survivable iff
-     * dimmsPerDomain <= the design's survivableFailures().
-     */
-    std::size_t dimmsPerDomain = 1;
 };
 
-/** TVARAK controller parameters and design-ablation switches. */
+/** TVARAK controller parameters (Table III). */
 struct TvarakParams {
     /** On-controller redundancy cache size (per LLC bank). */
     std::size_t cacheBytes = 4096;
@@ -104,43 +116,12 @@ struct TvarakParams {
     PicoJoules cacheMissEnergy = 33.0;
     /** Cycles for DAX address range matching (comparators). */
     Cycles rangeMatchLatency = 2;
-    /**
-     * If true, NVM->LLC fills block until the DAX-CL-checksum
-     * verification completes (adds its latency to the demand path).
-     * The default models verification concurrent with data delivery:
-     * the controller raises an interrupt on mismatch (Section III-E),
-     * so the common case costs bandwidth and energy but no latency.
-     */
-    bool syncVerification = false;
     /** Cycles per checksum/parity computation or verification. */
     Cycles computeLatency = 1;
     /** LLC ways (out of llc.ways) reserved for caching redundancy. */
     std::size_t redundancyWays = 2;
     /** LLC ways reserved for storing data diffs. */
     std::size_t diffWays = 1;
-
-    /**
-     * @name Fig 9 ablation switches (all on == full TVARAK).
-     *
-     * Deprecated as user-facing knobs: select a registered design
-     * variant instead (`--design tvarak-naive` /
-     * `tvarak-no-red-cache` / `tvarak-no-diffs`), whose
-     * `Design::adjustConfig()` forces these fields. They remain in
-     * SimConfig only because the frozen trace header serializes them;
-     * the plain "tvarak" design leaves them untouched so old traces
-     * that recorded non-default values still replay identically.
-     */
-    /**@{*/
-    /** Cache-line granular checksums; off = page-granular naive
-     *  checksums that force whole-page reads on every writeback. */
-    bool useDaxClChecksums = true;
-    /** Cache redundancy lines (on-controller cache + LLC partition);
-     *  off = every redundancy access goes to NVM. */
-    bool useRedundancyCaching = true;
-    /** Keep data diffs in an LLC partition; off = re-read old data
-     *  from NVM at writeback time (also the exclusive-LLC config). */
-    bool useDataDiffs = true;
-    /**@}*/
 };
 
 /** Whole-machine configuration (defaults == Table III). */

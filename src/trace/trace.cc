@@ -67,6 +67,26 @@ getF64(const std::uint8_t *&p, const std::uint8_t *end, double &v)
 }
 /**@}*/
 
+/**
+ * Header slots of fields SimConfig no longer has, frozen at the only
+ * value the simulator models: fill verification concurrent with data
+ * delivery (sync 0), every Fig-9 optimization on (use 1; the ladder
+ * point belongs to the design), one DIMM per failure domain.
+ * serializeConfig writes them; deserializeConfig rejects any other.
+ */
+constexpr std::uint64_t kFrozenSync = 0;
+constexpr std::uint64_t kFrozenUse = 1;
+constexpr std::uint64_t kFrozenDomain = 1;
+
+/** Read one u64 slot that must hold @p want. */
+bool
+getFrozen(const std::uint8_t *&p, const std::uint8_t *end,
+          std::uint64_t want)
+{
+    std::uint64_t v = 0;
+    return getU64(p, end, v) && v == want;
+}
+
 void
 putCacheParams(std::vector<std::uint8_t> &buf, const CacheParams &c)
 {
@@ -256,13 +276,12 @@ serializeConfig(const SimConfig &cfg)
     putF64(buf, cfg.tvarak.cacheHitEnergy);
     putF64(buf, cfg.tvarak.cacheMissEnergy);
     putU64(buf, cfg.tvarak.rangeMatchLatency);
-    putU64(buf, cfg.tvarak.syncVerification ? 1 : 0);
+    putU64(buf, kFrozenSync);
     putU64(buf, cfg.tvarak.computeLatency);
     putU64(buf, cfg.tvarak.redundancyWays);
     putU64(buf, cfg.tvarak.diffWays);
-    putU64(buf, cfg.tvarak.useDaxClChecksums ? 1 : 0);
-    putU64(buf, cfg.tvarak.useRedundancyCaching ? 1 : 0);
-    putU64(buf, cfg.tvarak.useDataDiffs ? 1 : 0);
+    for (int i = 0; i < 3; i++)
+        putU64(buf, kFrozenUse);
     putU64(buf, cfg.storeIssueCycles);
     putF64(buf, cfg.storeMissLatencyFactor);
     putU64(buf, cfg.prefetchDegree);
@@ -270,9 +289,9 @@ serializeConfig(const SimConfig &cfg)
     // Optional tail, present only when non-default: traces of the
     // classic single-parity arrays stay byte-identical to the frozen
     // format (and old traces deserialize with the defaults).
-    if (cfg.nvm.parityDimms != 1 || cfg.nvm.dimmsPerDomain != 1) {
+    if (cfg.nvm.parityDimms != 1) {
         putU64(buf, cfg.nvm.parityDimms);
-        putU64(buf, cfg.nvm.dimmsPerDomain);
+        putU64(buf, kFrozenDomain);
     }
     return buf;
 }
@@ -313,19 +332,14 @@ deserializeConfig(const std::vector<std::uint8_t> &blob, SimConfig &cfg)
     ok = ok && getF64(p, end, cfg.tvarak.cacheHitEnergy);
     ok = ok && getF64(p, end, cfg.tvarak.cacheMissEnergy);
     ok = ok && getU64(p, end, cfg.tvarak.rangeMatchLatency);
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.syncVerification = u != 0;
+    ok = ok && getFrozen(p, end, kFrozenSync);
     ok = ok && getU64(p, end, cfg.tvarak.computeLatency);
     ok = ok && getU64(p, end, u);
     cfg.tvarak.redundancyWays = u;
     ok = ok && getU64(p, end, u);
     cfg.tvarak.diffWays = u;
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.useDaxClChecksums = u != 0;
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.useRedundancyCaching = u != 0;
-    ok = ok && getU64(p, end, u);
-    cfg.tvarak.useDataDiffs = u != 0;
+    for (int i = 0; i < 3; i++)
+        ok = ok && getFrozen(p, end, kFrozenUse);
     ok = ok && getU64(p, end, cfg.storeIssueCycles);
     ok = ok && getF64(p, end, cfg.storeMissLatencyFactor);
     ok = ok && getU64(p, end, u);
@@ -333,12 +347,10 @@ deserializeConfig(const std::vector<std::uint8_t> &blob, SimConfig &cfg)
     ok = ok && getF64(p, end, cfg.swChecksumBytesPerCycle);
     // Optional n+k tail (absent in traces of single-parity arrays).
     cfg.nvm.parityDimms = 1;
-    cfg.nvm.dimmsPerDomain = 1;
     if (ok && p != end) {
         ok = getU64(p, end, u);
         cfg.nvm.parityDimms = u;
-        ok = ok && getU64(p, end, u);
-        cfg.nvm.dimmsPerDomain = u;
+        ok = ok && getFrozen(p, end, kFrozenDomain);
     }
     return ok && p == end;
 }

@@ -55,7 +55,9 @@ struct TraceData {
 
 /** Serialize @p cfg to the fixed-field-order blob fingerprints cover. */
 std::vector<std::uint8_t> serializeConfig(const SimConfig &cfg);
-/** Inverse of serializeConfig. @return false on a short/long blob. */
+/** Inverse of serializeConfig. @return false on a short/long blob or
+ *  a retired field's slot (sync, the three Fig-9 use bits, the
+ *  failure-domain size) holding anything but its frozen value. */
 bool deserializeConfig(const std::vector<std::uint8_t> &blob,
                        SimConfig &cfg);
 

@@ -20,6 +20,7 @@
 #include "sim/stats.hh"
 #include "redundancy/registry.hh"
 #include "redundancy/scheme.hh"
+#include "test_util.hh"
 #include "trace/trace.hh"
 
 namespace tvarak {
@@ -144,33 +145,42 @@ TEST(DesignRegistry, PolicyBitsMatchTheDesignTaxonomy)
     }
 }
 
-TEST(DesignRegistry, VariantsPinAblationSwitchesPlainTvarakDoesNot)
+TEST(DesignRegistry, EachTvarakDesignOwnsItsLadderPoint)
 {
     struct Expect {
         const char *name;
-        bool cl, cache, diffs;
+        TvarakLadder point;
+        std::size_t reservedWays;  //!< of the default 2 red + 1 diff
+        DaxCsumFormat format;
     };
     const Expect expects[] = {
-        {"tvarak-naive", false, false, false},
-        {"tvarak-no-red-cache", true, false, false},
-        {"tvarak-no-diffs", true, true, false},
+        {"tvarak-naive", TvarakLadder::Naive, 0, DaxCsumFormat::Page},
+        {"tvarak-no-red-cache", TvarakLadder::DaxClCsums, 0,
+         DaxCsumFormat::Line},
+        {"tvarak-no-diffs", TvarakLadder::RedundancyCaching, 2,
+         DaxCsumFormat::Line},
+        {"tvarak", TvarakLadder::DataDiffs, 3, DaxCsumFormat::Line},
+        {"tvarak-rs4+2", TvarakLadder::DataDiffs, 3,
+         DaxCsumFormat::Line},
+        {"tvarak-rs6+2", TvarakLadder::DataDiffs, 3,
+         DaxCsumFormat::Line},
     };
+    SimConfig cfg;
+    cfg.cores = 2;
+    cfg.nvm.dimmBytes = 16ull << 20;
     for (const Expect &e : expects) {
         const Design *d = findDesign(e.name);
         ASSERT_NE(d, nullptr) << e.name;
         EXPECT_EQ(d->kind(), DesignKind::Tvarak) << e.name;
-        SimConfig cfg;
-        d->adjustConfig(cfg);
-        EXPECT_EQ(cfg.tvarak.useDaxClChecksums, e.cl) << e.name;
-        EXPECT_EQ(cfg.tvarak.useRedundancyCaching, e.cache) << e.name;
-        EXPECT_EQ(cfg.tvarak.useDataDiffs, e.diffs) << e.name;
+        EXPECT_EQ(d->tvarakLadder(), e.point) << e.name;
+        MemorySystem mem(cfg, *d);
+        EXPECT_EQ(mem.tvarak().ladder(), e.point) << e.name;
+        EXPECT_EQ(mem.llcDataWays(), cfg.llcBank.ways - e.reservedWays)
+            << e.name;
+        EXPECT_EQ(mem.daxCsumFormat(), e.format) << e.name;
     }
-    // The plain design leaves the deprecated switches alone, so traces
-    // that serialized non-default values replay identically.
-    SimConfig cfg;
-    cfg.tvarak.useDataDiffs = false;
-    designOf(DesignKind::Tvarak).adjustConfig(cfg);
-    EXPECT_FALSE(cfg.tvarak.useDataDiffs);
+    // Every TVARAK design is one of the four ladder points above.
+    EXPECT_EQ(test::engineDesigns().size(), std::size(expects));
 }
 
 TEST(DesignRegistry, VilambDesignVendsItsAsyncScheme)

@@ -184,7 +184,7 @@ TEST_P(DesignMatrix, DetectionAtDesignGranularity)
     auto [bug, design] = GetParam();
     MemorySystem mem(test::smallConfig(), design);
     DaxFs fs(mem);
-    auto scheme = makeScheme(design, mem);
+    auto scheme = mem.designObj().makeScheme(mem);
     PmemPool pool(mem, fs, "p", 4ull << 20, scheme.get(), 1);
     auto map = makeMap(MapKind::CTree, mem, pool, 48);
     int fd = fs.open("p");

@@ -25,7 +25,7 @@ WorkloadFactory
 treeInsertFactory(int instances = 2)
 {
     return [instances](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         TreeWorkload::Params p;
         p.kind = MapKind::CTree;
@@ -47,7 +47,7 @@ WorkloadFactory
 redisFactory(RedisWorkload::Mode mode)
 {
     return [mode](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         RedisWorkload::Params p;
         p.mode = mode;
@@ -69,7 +69,7 @@ WorkloadFactory
 fioFactory(FioWorkload::Pattern pattern)
 {
     return [pattern](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         FioWorkload::Params p;
         p.pattern = pattern;
@@ -178,12 +178,8 @@ TEST(PaperClaims, NaiveControllerFarWorseThanTvarak)
     SimConfig cfg = evalConfig();
     Cycles tvarak = runExperiment(cfg, DesignKind::Tvarak, factory)
                         .runtimeCycles;
-    SimConfig naive_cfg = cfg;
-    naive_cfg.tvarak.useDaxClChecksums = false;
-    naive_cfg.tvarak.useRedundancyCaching = false;
-    naive_cfg.tvarak.useDataDiffs = false;
     Cycles naive =
-        runExperiment(naive_cfg, DesignKind::Tvarak, factory)
+        runExperiment(cfg, *findDesign("tvarak-naive"), factory)
             .runtimeCycles;
     EXPECT_GT(static_cast<double>(naive),
               1.5 * static_cast<double>(tvarak));

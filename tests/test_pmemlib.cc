@@ -23,7 +23,7 @@ class PoolTest : public ::testing::TestWithParam<DesignKind>
         mem = std::make_unique<MemorySystem>(test::smallConfig(),
                                              GetParam());
         fs = std::make_unique<DaxFs>(*mem);
-        scheme = makeScheme(GetParam(), *mem);
+        scheme = mem->designObj().makeScheme(*mem);
         pool = std::make_unique<PmemPool>(*mem, *fs, "pool",
                                           2ull << 20, scheme.get(), 2);
     }
@@ -138,7 +138,7 @@ TEST(TxBObject, ObjectChecksumsVerifyAfterCommits)
 {
     MemorySystem mem(test::smallConfig(), DesignKind::TxBObjectCsums);
     DaxFs fs(mem);
-    auto scheme = makeScheme(DesignKind::TxBObjectCsums, mem);
+    auto scheme = mem.designObj().makeScheme(mem);
     PmemPool pool(mem, fs, "p", 2ull << 20, scheme.get(), 2);
 
     constexpr std::size_t kObjSizeStep = 8;
@@ -169,7 +169,7 @@ TEST(TxBPage, PageChecksumsVerifyAfterCommits)
 {
     MemorySystem mem(test::smallConfig(), DesignKind::TxBPageCsums);
     DaxFs fs(mem);
-    auto scheme = makeScheme(DesignKind::TxBPageCsums, mem);
+    auto scheme = mem.designObj().makeScheme(mem);
     PmemPool pool(mem, fs, "p", 2ull << 20, scheme.get(), 2);
 
     for (int i = 0; i < 32; i++) {
@@ -191,7 +191,7 @@ TEST(TxBSchemes, ParityMaintainedByRecomputation)
          {DesignKind::TxBObjectCsums, DesignKind::TxBPageCsums}) {
         MemorySystem mem(test::smallConfig(), d);
         DaxFs fs(mem);
-        auto scheme = makeScheme(d, mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         PmemPool pool(mem, fs, "p", 2ull << 20, scheme.get(), 2);
         for (int i = 0; i < 64; i++) {
             Addr o = pool.alloc(i % 2, 64);
@@ -213,7 +213,7 @@ TEST(TxBSchemes, CommitCostOrdering)
     auto commits = [](DesignKind d) {
         MemorySystem mem(test::smallConfig(), d);
         DaxFs fs(mem);
-        auto scheme = makeScheme(d, mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         PmemPool pool(mem, fs, "p", 2ull << 20, scheme.get(), 2);
         Addr o = pool.alloc(0, 64);
         mem.stats().reset();

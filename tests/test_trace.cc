@@ -30,7 +30,7 @@ WorkloadFactory
 streamFactory()
 {
     return [](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         StreamWorkload::Params p;
         p.kernel = StreamWorkload::Kernel::Triad;
@@ -53,7 +53,7 @@ WorkloadFactory
 ctreeFactory()
 {
     return [](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         TreeWorkload::Params p;
         p.kind = MapKind::CTree;
@@ -242,7 +242,6 @@ TEST(Trace, LoadRejectsGarbage)
 TEST(Trace, ConfigSerializationRoundTrip)
 {
     SimConfig cfg = test::smallConfig();
-    cfg.tvarak.syncVerification = true;
     cfg.prefetchDegree = 2;
     auto blob = trace::serializeConfig(cfg);
     SimConfig back;
@@ -250,8 +249,33 @@ TEST(Trace, ConfigSerializationRoundTrip)
     EXPECT_EQ(trace::serializeConfig(back), blob);
     EXPECT_EQ(back.cores, cfg.cores);
     EXPECT_EQ(back.llcBank.sizeBytes, cfg.llcBank.sizeBytes);
-    EXPECT_TRUE(back.tvarak.syncVerification);
     EXPECT_EQ(back.prefetchDegree, 2u);
+
+    // Retired fields keep frozen u64 slots in the blob: sync
+    // verification (slot 35) reads 0, the three Fig-9 use bits (slots
+    // 39-41) read 1, and the failure-domain size after the n+k tail's
+    // parity count (slot 47) reads 1. Any other value is rejected.
+    auto with = [](std::vector<std::uint8_t> b, std::size_t slot,
+                   std::uint8_t v) {
+        b.at(slot * 8) = v;
+        return b;
+    };
+    ASSERT_EQ(blob.size(), 46u * 8);
+    EXPECT_EQ(blob[35 * 8], 0);
+    EXPECT_FALSE(trace::deserializeConfig(with(blob, 35, 1), back));
+    for (std::size_t slot : {39u, 40u, 41u}) {
+        EXPECT_EQ(blob[slot * 8], 1) << slot;
+        EXPECT_FALSE(trace::deserializeConfig(with(blob, slot, 0), back))
+            << slot;
+    }
+    SimConfig rs = cfg;
+    rs.nvm.parityDimms = 2;
+    auto tail = trace::serializeConfig(rs);
+    ASSERT_EQ(tail.size(), blob.size() + 16);
+    ASSERT_TRUE(trace::deserializeConfig(tail, back));
+    EXPECT_EQ(back.nvm.parityDimms, 2u);
+    EXPECT_EQ(tail[47 * 8], 1);
+    EXPECT_FALSE(trace::deserializeConfig(with(tail, 47, 2), back));
 
     blob.pop_back();
     EXPECT_FALSE(trace::deserializeConfig(blob, back));

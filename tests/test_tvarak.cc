@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <tuple>
 #include <vector>
 
 #include "checksum/checksum.hh"
@@ -52,9 +51,11 @@ atRestConsistent(MemorySystem &mem, DaxFs &fs, int /*fd*/)
 class TvarakTest : public ::testing::Test
 {
   protected:
-    void build(DesignKind design, SimConfig cfg = test::smallConfig())
+    void build(DesignKind kind) { build(designOf(kind)); }
+
+    void build(const Design &design)
     {
-        mem = std::make_unique<MemorySystem>(cfg, design);
+        mem = std::make_unique<MemorySystem>(test::smallConfig(), design);
         fs = std::make_unique<DaxFs>(*mem);
         fd = fs->create("data", kFilePages * kPageBytes);
         base = fs->daxMap(fd);
@@ -111,24 +112,12 @@ TEST_F(TvarakTest, RandomWorkloadKeepsInvariants)
     EXPECT_TRUE(atRestConsistent(*mem, *fs, fd));
 }
 
-struct AblationParam {
-    bool daxCl;
-    bool redCache;
-    bool diffs;
-};
-
-class TvarakAblation
-    : public ::testing::TestWithParam<std::tuple<bool, bool, bool>>
+class TvarakAblation : public ::testing::TestWithParam<const Design *>
 {};
 
 TEST_P(TvarakAblation, InvariantsHoldInEveryConfiguration)
 {
-    auto [dax_cl, red_cache, diffs] = GetParam();
-    SimConfig cfg = test::smallConfig();
-    cfg.tvarak.useDaxClChecksums = dax_cl;
-    cfg.tvarak.useRedundancyCaching = red_cache;
-    cfg.tvarak.useDataDiffs = diffs;
-    MemorySystem mem(cfg, DesignKind::Tvarak);
+    MemorySystem mem(test::smallConfig(), *GetParam());
     DaxFs fs(mem);
     int fd = fs.create("data", 32 * kPageBytes);
     Addr base = fs.daxMap(fd);
@@ -144,7 +133,7 @@ TEST_P(TvarakAblation, InvariantsHoldInEveryConfiguration)
     mem.flushAll();
     EXPECT_EQ(fs.verifyParity(), 0u);
     EXPECT_EQ(fs.scrub(false), 0u);
-    if (!dax_cl) {
+    if (mem.daxCsumFormat() == DaxCsumFormat::Page) {
         // Page-granular naive mode: verify page checksums directly.
         for (std::size_t p = 0; p < 32; p++) {
             Addr page = fs.filePage(fd, p);
@@ -158,18 +147,16 @@ TEST_P(TvarakAblation, InvariantsHoldInEveryConfiguration)
     }
 }
 
-INSTANTIATE_TEST_SUITE_P(Configs, TvarakAblation,
-                         ::testing::Combine(::testing::Bool(),
-                                            ::testing::Bool(),
-                                            ::testing::Bool()));
+INSTANTIATE_TEST_SUITE_P(
+    EngineDesigns, TvarakAblation,
+    ::testing::ValuesIn(test::engineDesigns()),
+    [](const auto &info) { return test::paramName(info.param); });
 
 TEST(TvarakMap, ColdReadOfFreshMapDetectsNothingUnderEveryVariant)
 {
     // Mapping hands coverage from the file system's page checksums to
     // the engine's own format; a clean file must verify right away.
-    for (const Design *d : allRegisteredDesigns()) {
-        if (!d->engineCoversDaxData())
-            continue;
+    for (const Design *d : test::engineDesigns()) {
         MemorySystem mem(test::smallConfig(), *d);
         DaxFs fs(mem);
         int fd = fs.create("data", kFilePages * kPageBytes);
@@ -310,9 +297,7 @@ TEST_F(TvarakFaults, BaselineSilentlyConsumesCorruption)
 
 TEST_F(TvarakFaults, RecoveryUnderNaivePageChecksums)
 {
-    SimConfig cfg = test::smallConfig();
-    cfg.tvarak.useDaxClChecksums = false;
-    build(DesignKind::Tvarak, cfg);
+    build(*findDesign("tvarak-naive"));
     Addr vaddr = base + 2 * kPageBytes + 9 * kLineBytes;
     Addr target = fs->filePage(fd, 2) + 9 * kLineBytes;
     mem->write64(0, vaddr, 0x3333);
@@ -344,12 +329,9 @@ TEST(TvarakArea, DedicatedAreaMatchesPaper)
 
 TEST(TvarakCaching, RedundancyCachingCutsNvmTraffic)
 {
-    SimConfig cached_cfg = test::smallConfig();
-    SimConfig uncached_cfg = cached_cfg;
-    uncached_cfg.tvarak.useRedundancyCaching = false;
-
-    auto run = [](SimConfig cfg) {
-        MemorySystem mem(cfg, DesignKind::Tvarak);
+    // Adjacent ladder points: redundancy caching is the only change.
+    auto run = [](const char *design) {
+        MemorySystem mem(test::smallConfig(), *findDesign(design));
         DaxFs fs(mem);
         int fd = fs.create("d", 32 * kPageBytes);
         Addr base = fs.daxMap(fd);
@@ -360,20 +342,16 @@ TEST(TvarakCaching, RedundancyCachingCutsNvmTraffic)
             (void)mem.read64(0, base + a);
         return mem.stats().nvmRedundancyReads;
     };
-    std::uint64_t with_cache = run(cached_cfg);
-    std::uint64_t without = run(uncached_cfg);
+    std::uint64_t with_cache = run("tvarak-no-diffs");
+    std::uint64_t without = run("tvarak-no-red-cache");
     EXPECT_LT(with_cache, without / 4)
         << "caching must exploit checksum-line reuse";
 }
 
 TEST(TvarakDiffs, DiffsAvoidOldDataReads)
 {
-    SimConfig with_cfg = test::smallConfig();
-    SimConfig without_cfg = with_cfg;
-    without_cfg.tvarak.useDataDiffs = false;
-
-    auto run = [](SimConfig cfg) {
-        MemorySystem mem(cfg, DesignKind::Tvarak);
+    auto run = [](const char *design) {
+        MemorySystem mem(test::smallConfig(), *findDesign(design));
         DaxFs fs(mem);
         int fd = fs.create("d", 16 * kPageBytes);
         Addr base = fs.daxMap(fd);
@@ -386,7 +364,7 @@ TEST(TvarakDiffs, DiffsAvoidOldDataReads)
         mem.flushAll();
         return mem.stats().nvmDataReads;
     };
-    EXPECT_LT(run(with_cfg), run(without_cfg));
+    EXPECT_LT(run("tvarak"), run("tvarak-no-diffs"));
 }
 
 }  // namespace

@@ -112,7 +112,7 @@ TEST(StreamUnderSchemes, InvariantsHoldForEveryDesign)
           DesignKind::TxBPageCsums}) {
         MemorySystem mem(test::smallConfig(), d);
         DaxFs fs(mem);
-        auto scheme = makeScheme(d, mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         StreamWorkload::Params p;
         p.kernel = StreamWorkload::Kernel::Scale;
         p.chunkBytes = 16 * kPageBytes;
@@ -129,7 +129,7 @@ TEST(Runner, FixedWorkAcrossDesigns)
     // Every design must execute the same functional work: the final
     // at-rest data of a deterministic workload is identical.
     auto factory = [](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         FioWorkload::Params p;
         p.pattern = FioWorkload::Pattern::RandWrite;
@@ -162,7 +162,7 @@ TEST(Runner, TvarakNeverSlowerThanTxBForWrites)
 {
     // The paper's headline ordering on a write-heavy microbenchmark.
     auto factory = [](MemorySystem &mem, DaxFs &fs) -> WorkloadSet {
-        auto scheme = makeScheme(mem.design(), mem);
+        auto scheme = mem.designObj().makeScheme(mem);
         WorkloadSet set;
         FioWorkload::Params p;
         p.pattern = FioWorkload::Pattern::SeqWrite;

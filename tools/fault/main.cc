@@ -61,6 +61,7 @@
 #include "redundancy/registry.hh"
 #include "redundancy/scheme.hh"
 #include "sim/log.hh"
+#include "sim/rng.hh"
 #include "trace/trace.hh"
 
 namespace tvarak::faultcli {
@@ -88,51 +89,17 @@ usage()
 }
 
 // ------------------------------------------------------------------
-// Deterministic PRNG: xoshiro256** seeded via splitmix64, so one
-// 64-bit seed reproduces the whole campaign on any platform.
+// Campaign draws: the simulator's xoshiro256** Rng (splitmix64
+// seeding) reduced modulo the bound, so one 64-bit seed reproduces
+// the whole campaign on any platform.
 // ------------------------------------------------------------------
-class Rng
+
+/** Uniform in [0, @p n); draws nothing when @p n is 0. */
+std::uint64_t
+below(Rng &rng, std::uint64_t n)
 {
-  public:
-    explicit Rng(std::uint64_t seed)
-    {
-        std::uint64_t x = seed;
-        for (auto &word : s_) {
-            x += 0x9e3779b97f4a7c15ull;
-            std::uint64_t z = x;
-            z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-            z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-            word = z ^ (z >> 31);
-        }
-    }
-
-    std::uint64_t
-    next()
-    {
-        auto rotl = [](std::uint64_t v, int k) {
-            return (v << k) | (v >> (64 - k));
-        };
-        std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-        std::uint64_t t = s_[1] << 17;
-        s_[2] ^= s_[0];
-        s_[3] ^= s_[1];
-        s_[1] ^= s_[2];
-        s_[0] ^= s_[3];
-        s_[2] ^= t;
-        s_[3] = rotl(s_[3], 45);
-        return result;
-    }
-
-    /** Uniform in [0, n). */
-    std::uint64_t
-    below(std::uint64_t n)
-    {
-        return n == 0 ? 0 : next() % n;
-    }
-
-  private:
-    std::uint64_t s_[4];
-};
+    return n == 0 ? 0 : rng.next() % n;
+}
 
 // ------------------------------------------------------------------
 // Command-line plumbing (same shape as tvarak-trace).
@@ -507,8 +474,8 @@ MapCampaign::schedule()
     std::size_t hi = ops_ - ops_ / 3;  // leave room for the rebuild
     for (std::size_t i = 0; i < nEvents_; i++) {
         ScheduledFault f;
-        f.op = lo + static_cast<std::size_t>(rng_.below(hi - lo));
-        f.kind = pool[rng_.below(pool.size())];
+        f.op = lo + static_cast<std::size_t>(below(rng_, hi - lo));
+        f.kind = pool[below(rng_, pool.size())];
         if (f.kind == FaultKind::DimmLoss) {
             // RAID-5: one simultaneous device fault.
             if (haveDimmLoss)
@@ -610,7 +577,7 @@ MapCampaign::getCheck(std::uint64_t key, bool expectCorrect)
 void
 MapCampaign::probe(std::size_t op)
 {
-    std::uint64_t key = rng_.below(keys_);
+    std::uint64_t key = below(rng_, keys_);
     if (!getCheck(key, true)) {
         warn("silent wrong read of key %llu at op %zu",
              static_cast<unsigned long long>(key), op);
@@ -761,7 +728,7 @@ MapCampaign::lineBugEvent(std::size_t op, FaultKind kind)
     // page re-reads are safe.
     drainScheme();
 
-    std::uint64_t vk = rng_.below(keys_);
+    std::uint64_t vk = below(rng_, keys_);
     Addr g = lineOfKey(vk);
     auto &nvm = mem_.nvmArray();
     auto &dimm = nvm.dimm(nvm.dimmOf(g));
@@ -826,7 +793,7 @@ MapCampaign::lineBugEvent(std::size_t op, FaultKind kind)
       }
       case FaultKind::BitFlip: {
         unsigned bit = static_cast<unsigned>(
-            rng_.below(kLineBytes * CHAR_BIT));
+            below(rng_, kLineBytes * CHAR_BIT));
         mem_.flushAll();
         if (design_->faultDetection() == FaultDetection::None) {
             // The one fault class the baseline *does* catch: device
@@ -869,7 +836,7 @@ MapCampaign::dimmLossEvent(std::size_t op)
     mem_.flushAll();
     fs_.scrub(true);
     failedDimm_ = static_cast<std::size_t>(
-        rng_.below(mem_.nvmArray().numDimms()));
+        below(rng_, mem_.nvmArray().numDimms()));
     mem_.failDimm(failedDimm_);
     mem_.dropCaches();  // every later read of the DIMM reconstructs
     replaceAtOp_ = op + std::max<std::size_t>(ops_ / 6, 8);
@@ -1002,7 +969,7 @@ MapCampaign::run()
         bool writesAllowed =
             !degraded() || design_->absorbsWritesWhileDegraded();
         if (writesAllowed) {
-            std::uint64_t k = rng_.below(keys_);
+            std::uint64_t k = below(rng_, keys_);
             updateKey(k, version_[k] + 1);
         } else {
             rng_.next();  // keep the draw stream aligned
@@ -1164,11 +1131,11 @@ cmdReplay(const std::vector<std::string> &raw)
     // later, rebuild online while the replay keeps running.
     std::size_t failPass =
         1 + static_cast<std::size_t>(
-                rng.below(std::max<std::size_t>(passes / 2, 1)));
+                below(rng, std::max<std::size_t>(passes / 2, 1)));
     std::size_t replacePass = failPass +
         std::max<std::size_t>(passes / 6, 1);
     std::size_t dimm = static_cast<std::size_t>(
-        rng.below(trace->cfg.nvm.dimms));
+        below(rng, trace->cfg.nvm.dimms));
     inform("faulted replay: fail dimm %zu at pass %zu/%zu, replace at "
            "pass %zu ...",
            dimm, failPass, passes, replacePass);
@@ -1299,8 +1266,8 @@ class MultiCampaign
         Rng rng(seed_);
         seq_.resize(ops_);
         for (OpSpec &op : seq_) {
-            op.updateKey = rng.below(keys_);
-            op.probeKey = rng.below(keys_);
+            op.updateKey = below(rng, keys_);
+            op.probeKey = below(rng, keys_);
         }
     }
 
