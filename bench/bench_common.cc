@@ -1,5 +1,6 @@
 #include "bench_common.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
@@ -195,15 +196,6 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
                         d->cliName() + "' selected twice";
                     usageError(argv[0], msg.c_str(), nullptr);
                 }
-                if (spec.uniqueDesignKinds && prev->kind() == d->kind()) {
-                    // Figure rows are keyed by DesignKind, so two
-                    // designs sharing one (e.g. tvarak variants) would
-                    // silently overwrite each other's column.
-                    std::string msg = std::string("design '") +
-                        d->cliName() + "' duplicates '" +
-                        prev->cliName() + "' (same result column)";
-                    usageError(argv[0], msg.c_str(), nullptr);
-                }
             }
             args.designs.push_back(d);
         } else if (std::strcmp(argv[i], "--help") == 0) {
@@ -239,18 +231,29 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
                    "--trace-record and --trace-replay are exclusive",
                    nullptr);
     }
-    if (!args.designs.empty()) {
+    const Design *baseline = &designOf(DesignKind::Baseline);
+    if (!args.designs.empty() &&
+        std::find(args.designs.begin(), args.designs.end(), baseline) ==
+            args.designs.end()) {
         // Baseline is the normalization reference of every report.
-        bool haveBaseline = false;
-        for (const Design *d : args.designs)
-            haveBaseline =
-                haveBaseline || d->kind() == DesignKind::Baseline;
-        if (!haveBaseline) {
-            args.designs.insert(args.designs.begin(),
-                                &designOf(DesignKind::Baseline));
-        }
+        args.designs.insert(args.designs.begin(), baseline);
     }
     return args;
+}
+
+void
+rejectTraceFlags(const BenchArgs &args)
+{
+    if (!args.traceRecord.empty() || !args.traceReplay.empty())
+        benchUsageError("this bench does not record or replay traces");
+}
+
+void
+rejectSweepFlags(const BenchArgs &args)
+{
+    rejectTraceFlags(args);
+    if (!args.designs.empty())
+        benchUsageError("--design: this bench runs a fixed design set");
 }
 
 std::vector<const Design *>
@@ -276,20 +279,10 @@ sweepRows(const std::vector<WorkloadSpec> &specs,
     std::size_t k = 0;
     for (std::size_t s = 0; s < specs.size(); s++) {
         rows[s].workload = specs[s].name;
-        for (const Design *d : designs)
-            rows[s].results[d->kind()] = results[k++];
+        for (std::size_t d = 0; d < designs.size(); d++)
+            rows[s].add(std::move(results[k++]));
     }
     return rows;
-}
-
-std::vector<FigureRow>
-sweepRows(const std::vector<WorkloadSpec> &specs,
-          const std::vector<DesignKind> &designs, std::size_t jobs)
-{
-    std::vector<const Design *> resolved;
-    for (DesignKind d : designs)
-        resolved.push_back(&designOf(d));
-    return sweepRows(specs, resolved, jobs);
 }
 
 namespace {
@@ -303,21 +296,35 @@ tracePath(const std::string &base,
     return specs.size() == 1 ? base : base + "." + specs[s].name;
 }
 
-/** Replay jobs for @p designs from one trace, appended to @p batch. */
-void
-pushReplayJobs(std::vector<ExperimentJob> &batch,
-               const std::string &label,
-               const std::shared_ptr<trace::TraceData> &trace,
-               const std::vector<const Design *> &designs,
-               bool skipRecorded)
-{
-    for (const Design *d : designs) {
-        if (skipRecorded && d->kind() == trace->recordedDesign)
-            continue;
-        batch.push_back({label, trace->cfg, d,
-                         trace::makeReplayFactory(trace)});
+/** A replay batch and the figure row each of its jobs belongs to. */
+struct ReplayBatch {
+    std::vector<ExperimentJob> jobs;
+    std::vector<std::size_t> rowOf;
+
+    /** Replay @p designs (minus @p skip, the recording run's design)
+     *  from @p trace into row @p row. */
+    void push(std::size_t row, const std::string &label,
+              const std::shared_ptr<trace::TraceData> &trace,
+              const std::vector<const Design *> &designs,
+              const Design *skip)
+    {
+        for (const Design *d : designs) {
+            if (d == skip)
+                continue;
+            jobs.push_back({label, trace->cfg, d,
+                            trace::makeReplayFactory(trace)});
+            rowOf.push_back(row);
+        }
     }
-}
+
+    /** Run the batch and add each result to its row. */
+    void run(std::vector<FigureRow> &rows, std::size_t workers)
+    {
+        std::vector<RunResult> results = runExperiments(jobs, workers);
+        for (std::size_t i = 0; i < results.size(); i++)
+            rows[rowOf[i]].add(std::move(results[i]));
+    }
+};
 
 /** Record each spec once under Baseline, replay the other designs. */
 std::vector<FigureRow>
@@ -325,34 +332,25 @@ recordAndReplayRows(const std::vector<WorkloadSpec> &specs,
                     const std::vector<const Design *> &designs,
                     const BenchArgs &args)
 {
+    const Design &baseline = designOf(DesignKind::Baseline);
     std::vector<FigureRow> rows(specs.size());
-    std::vector<ExperimentJob> batch;
+    ReplayBatch batch;
     for (std::size_t s = 0; s < specs.size(); s++) {
         std::string path = tracePath(args.traceRecord, specs, s);
         std::fprintf(stderr, "  recording %s -> %s\n",
                      specs[s].name.c_str(), path.c_str());
         trace::RecordResult rec = trace::recordExperiment(
-            specs[s].cfg, DesignKind::Baseline, specs[s].make,
-            specs[s].name);
+            specs[s].cfg, baseline, specs[s].make, specs[s].name);
         if (!rec.trace->save(path)) {
             std::fprintf(stderr, "error: cannot write %s\n",
                          path.c_str());
             std::exit(1);
         }
         rows[s].workload = specs[s].name;
-        rows[s].results[DesignKind::Baseline] = rec.result;
-        pushReplayJobs(batch, specs[s].name, rec.trace, designs, true);
+        rows[s].add(std::move(rec.result));
+        batch.push(s, specs[s].name, rec.trace, designs, &baseline);
     }
-
-    std::vector<RunResult> results = runExperiments(batch, args.jobs);
-    std::size_t k = 0;
-    for (std::size_t s = 0; s < specs.size(); s++) {
-        for (const Design *d : designs) {
-            if (d->kind() == DesignKind::Baseline)
-                continue;
-            rows[s].results[d->kind()] = results[k++];
-        }
-    }
+    batch.run(rows, args.jobs);
     return rows;
 }
 
@@ -363,7 +361,7 @@ replayRows(const std::vector<WorkloadSpec> &specs,
            const BenchArgs &args)
 {
     std::vector<FigureRow> rows(specs.size());
-    std::vector<ExperimentJob> batch;
+    ReplayBatch batch;
     for (std::size_t s = 0; s < specs.size(); s++) {
         std::string path = tracePath(args.traceReplay, specs, s);
         auto trace = trace::TraceData::load(path);
@@ -380,15 +378,9 @@ replayRows(const std::vector<WorkloadSpec> &specs,
                          specs[s].name.c_str());
         }
         rows[s].workload = specs[s].name;
-        pushReplayJobs(batch, specs[s].name, trace, designs, false);
+        batch.push(s, specs[s].name, trace, designs, nullptr);
     }
-
-    std::vector<RunResult> results = runExperiments(batch, args.jobs);
-    std::size_t k = 0;
-    for (std::size_t s = 0; s < specs.size(); s++) {
-        for (const Design *d : designs)
-            rows[s].results[d->kind()] = results[k++];
-    }
+    batch.run(rows, args.jobs);
     return rows;
 }
 
@@ -407,24 +399,25 @@ sweepRows(const std::vector<WorkloadSpec> &specs, const BenchArgs &args)
 
 FigureRow
 sweepDesigns(const std::string &workloadName, const SimConfig &cfg,
-             const WorkloadFactory &make,
-             const std::vector<DesignKind> &designs, std::size_t jobs)
-{
-    return sweepRows({{workloadName, cfg, make}}, designs, jobs).front();
-}
-
-FigureRow
-sweepDesigns(const std::string &workloadName, const SimConfig &cfg,
-             const WorkloadFactory &make, std::size_t jobs)
-{
-    return sweepDesigns(workloadName, cfg, make, allDesigns(), jobs);
-}
-
-FigureRow
-sweepDesigns(const std::string &workloadName, const SimConfig &cfg,
              const WorkloadFactory &make, const BenchArgs &args)
 {
     return sweepRows({{workloadName, cfg, make}}, args).front();
+}
+
+BenchJsonEntry
+jsonEntry(const std::string &workload, const std::string &label,
+          const RunResult &run, double normRuntime)
+{
+    BenchJsonEntry e;
+    e.workload = workload;
+    e.design = label;
+    e.runtimeCycles = run.runtimeCycles;
+    e.normRuntime = normRuntime;
+    e.energyMj = run.energyMj;
+    e.nvmDataAccesses = run.nvmDataAccesses;
+    e.nvmRedAccesses = run.nvmRedAccesses;
+    e.cacheAccesses = run.cacheAccesses;
+    return e;
 }
 
 std::vector<BenchJsonEntry>
@@ -432,17 +425,10 @@ jsonEntries(const std::vector<FigureRow> &rows)
 {
     std::vector<BenchJsonEntry> entries;
     for (const FigureRow &row : rows) {
-        for (const auto &[design, res] : row.results) {
-            BenchJsonEntry e;
-            e.workload = row.workload;
-            e.design = designName(design);
-            e.runtimeCycles = res.runtimeCycles;
-            e.normRuntime = normRuntime(row, design);
-            e.energyMj = res.energyMj;
-            e.nvmDataAccesses = res.nvmDataAccesses;
-            e.nvmRedAccesses = res.nvmRedAccesses;
-            e.cacheAccesses = res.cacheAccesses;
-            entries.push_back(std::move(e));
+        for (const RunResult &r : row.results) {
+            entries.push_back(jsonEntry(row.workload,
+                                        r.design->displayName(), r,
+                                        normRuntime(row, *r.design)));
         }
     }
     return entries;

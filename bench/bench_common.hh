@@ -28,6 +28,14 @@
  *                      (repeatable; e.g. --design vilamb). Baseline is
  *                      added automatically as the normalization
  *                      reference. Default: the four paper designs.
+ *                      Rows are keyed by the registered Design, so
+ *                      variants (--design tvarak-naive --design
+ *                      tvarak) each get their own column and entry.
+ *
+ * Benches with a fixed design set (Fig 9, Fig 10, Vilamb, Table III)
+ * reject --design and the trace flags (rejectSweepFlags);
+ * bench_service sweeps --design but rejects the trace flags
+ * (rejectTraceFlags).
  *
  * Unknown flags and malformed values are usage errors (exit 2) — a
  * typo must never silently run the wrong experiment.
@@ -98,11 +106,6 @@ struct ExtraFlag {
 struct BenchArgsSpec {
     const char *what = "";
     const char *benchName = "";
-    /** Reject two --design selections sharing a DesignKind. Figure
-     *  benches need this (rows are keyed by kind); benches keyed by
-     *  registry name (bench_service) turn it off so the Fig-9 tvarak
-     *  variants can be swept together. */
-    bool uniqueDesignKinds = true;
     std::vector<ExtraFlag> extras;
 };
 
@@ -122,6 +125,13 @@ double parseFracValue(const char *flag, const std::string &value);
 [[noreturn]] void benchUsageError(const std::string &msg);
 /**@}*/
 
+/** Usage error (exit 2) if --trace-record or --trace-replay was
+ *  given: for benches that only run directly. */
+void rejectTraceFlags(const BenchArgs &args);
+/** rejectTraceFlags, and a usage error on --design too: for benches
+ *  whose design set is fixed. */
+void rejectSweepFlags(const BenchArgs &args);
+
 /** One workload of a figure: a label, the machine it runs on, and its
  *  factory. sweepRows() fans specs x designs in a single batch. */
 struct WorkloadSpec {
@@ -140,11 +150,6 @@ std::vector<FigureRow> sweepRows(const std::vector<WorkloadSpec> &specs,
                                  const std::vector<const Design *> &designs,
                                  std::size_t jobs);
 
-/** Shim: the canonical designs for @p designs. */
-std::vector<FigureRow> sweepRows(const std::vector<WorkloadSpec> &specs,
-                                 const std::vector<DesignKind> &designs,
-                                 std::size_t jobs);
-
 /**
  * As above, over selectedDesigns(args) and honoring
  * @p args.traceRecord / @p args.traceReplay: record each spec once
@@ -155,21 +160,10 @@ std::vector<FigureRow> sweepRows(const std::vector<WorkloadSpec> &specs,
 std::vector<FigureRow> sweepRows(const std::vector<WorkloadSpec> &specs,
                                  const BenchArgs &args);
 
-/** Run @p make under the four paper designs; collect a figure row. */
-FigureRow sweepDesigns(const std::string &workloadName,
-                       const SimConfig &cfg, const WorkloadFactory &make,
-                       std::size_t jobs);
-
 /** selectedDesigns(args), honoring the trace record/replay flags. */
 FigureRow sweepDesigns(const std::string &workloadName,
                        const SimConfig &cfg, const WorkloadFactory &make,
                        const BenchArgs &args);
-
-/** Run @p make under a subset of designs. */
-FigureRow sweepDesigns(const std::string &workloadName,
-                       const SimConfig &cfg, const WorkloadFactory &make,
-                       const std::vector<DesignKind> &designs,
-                       std::size_t jobs);
 
 /** One record of the machine-readable result dump. */
 struct BenchJsonEntry {
@@ -183,7 +177,13 @@ struct BenchJsonEntry {
     std::uint64_t cacheAccesses = 0;
 };
 
-/** Flatten figure rows into JSON entries (norm against Baseline). */
+/** The JSON record of @p run under a design or config @p label. */
+BenchJsonEntry jsonEntry(const std::string &workload,
+                         const std::string &label, const RunResult &run,
+                         double normRuntime);
+
+/** Flatten figure rows into JSON entries (norm against Baseline),
+ *  one per run, labelled with the design's display name. */
 std::vector<BenchJsonEntry>
 jsonEntries(const std::vector<FigureRow> &rows);
 

@@ -54,6 +54,7 @@ main(int argc, char **argv)
     BenchArgs args = parseBenchArgs(
         argc, argv, "Fig 10: LLC partition sensitivity sweeps",
         "fig10_sensitivity");
+    rejectSweepFlags(args);
     const std::vector<std::size_t> ways = {1, 2, 4, 6, 8};
 
     // Per workload: one baseline, then the redundancy-way sweep and
@@ -88,18 +89,10 @@ main(int argc, char **argv)
     std::vector<std::vector<double>> redTable, diffTable;
     std::vector<BenchJsonEntry> entries;
     const std::size_t stride = 1 + 2 * ways.size();
-    auto record = [&entries](const char *workload, std::string design,
+    auto record = [&entries](const char *workload,
+                             const std::string &design,
                              const RunResult &r, double norm) {
-        BenchJsonEntry e;
-        e.workload = workload;
-        e.design = std::move(design);
-        e.runtimeCycles = r.runtimeCycles;
-        e.normRuntime = norm;
-        e.energyMj = r.energyMj;
-        e.nvmDataAccesses = r.nvmDataAccesses;
-        e.nvmRedAccesses = r.nvmRedAccesses;
-        e.cacheAccesses = r.cacheAccesses;
-        entries.push_back(std::move(e));
+        entries.push_back(jsonEntry(workload, design, r, norm));
     };
     for (std::size_t i = 0; i < workloads.size(); i++) {
         const RunResult &base = results[i * stride];

@@ -28,6 +28,7 @@ main(int argc, char **argv)
     BenchArgs args = parseBenchArgs(
         argc, argv, "Fig 9: TVARAK design-choice ablation",
         "fig9_ablation");
+    rejectSweepFlags(args);
 
     // The cumulative ablation points are registered design variants
     // (each owns its TvarakLadder point); the classic Fig-9 column
@@ -43,57 +44,31 @@ main(int argc, char **argv)
         {"+data-diffs (TVARAK)", findDesign("tvarak")},
     };
 
-    // One batch: per workload, the baseline plus every cumulative
-    // configuration. Stride through the flat result array below.
-    const auto workloads = fig9Workloads(args.scale);
-    std::vector<ExperimentJob> batch;
-    for (auto &w : workloads) {
+    std::vector<WorkloadSpec> specs;
+    for (const auto &w : fig9Workloads(args.scale)) {
         SimConfig cfg = evalConfig();
         cfg.nvm.dimmBytes = w.dimmBytes;
-        batch.push_back({std::string(w.name) + " baseline", cfg,
-                         &designOf(DesignKind::Baseline), w.factory});
-        for (const Config &c : configs) {
-            batch.push_back({std::string(w.name) + " " + c.name, cfg,
-                             c.design, w.factory});
-        }
+        specs.push_back({w.name, cfg, w.factory});
     }
-    std::vector<RunResult> results = runExperiments(batch, args.jobs);
+    std::vector<const Design *> designs = {&designOf(DesignKind::Baseline)};
+    for (const Config &c : configs)
+        designs.push_back(c.design);
+    std::vector<FigureRow> rows = sweepRows(specs, designs, args.jobs);
 
     std::vector<std::string> row_names;
     std::vector<std::vector<double>> table;
     std::vector<BenchJsonEntry> entries;
-    const std::size_t stride = 1 + configs.size();
-    for (std::size_t i = 0; i < workloads.size(); i++) {
-        const RunResult &base = results[i * stride];
-        BenchJsonEntry be;
-        be.workload = workloads[i].name;
-        be.design = "baseline";
-        be.runtimeCycles = base.runtimeCycles;
-        be.normRuntime = 1.0;
-        be.energyMj = base.energyMj;
-        be.nvmDataAccesses = base.nvmDataAccesses;
-        be.nvmRedAccesses = base.nvmRedAccesses;
-        be.cacheAccesses = base.cacheAccesses;
-        entries.push_back(be);
-
+    for (const FigureRow &fr : rows) {
+        entries.push_back(jsonEntry(fr.workload, "baseline",
+                                    *fr.find(*designs.front()), 1.0));
         std::vector<double> row;
-        for (std::size_t c = 0; c < configs.size(); c++) {
-            const RunResult &r = results[i * stride + 1 + c];
-            double norm = static_cast<double>(r.runtimeCycles) /
-                static_cast<double>(base.runtimeCycles);
+        for (const Config &c : configs) {
+            double norm = normRuntime(fr, *c.design);
             row.push_back(norm);
-            BenchJsonEntry e;
-            e.workload = workloads[i].name;
-            e.design = configs[c].name;
-            e.runtimeCycles = r.runtimeCycles;
-            e.normRuntime = norm;
-            e.energyMj = r.energyMj;
-            e.nvmDataAccesses = r.nvmDataAccesses;
-            e.nvmRedAccesses = r.nvmRedAccesses;
-            e.cacheAccesses = r.cacheAccesses;
-            entries.push_back(e);
+            entries.push_back(
+                jsonEntry(fr.workload, c.name, *fr.find(*c.design), norm));
         }
-        row_names.emplace_back(workloads[i].name);
+        row_names.push_back(fr.workload);
         table.push_back(row);
     }
 

@@ -7,6 +7,7 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "apps/trees/tree_workload.hh"
 #include "bench_common.hh"
@@ -56,41 +57,51 @@ main(int argc, char **argv)
         "measured overhead");
     struct QualRow {
         const char *design;
-        DesignKind kind;
-        bool measured;
+        const Design *measuredAs;  //!< nullptr: no runnable model
         const char *gran, *update, *verify;
     };
     const QualRow qual[] = {
-        {"Nova-Fortis/Plexistore", DesignKind::Baseline, false, "page",
+        {"Nova-Fortis/Plexistore", nullptr, "page",
          "no updates while mapped", "none while mapped"},
-        {"Mojim/HotPot (TxB-Page)", DesignKind::TxBPageCsums, true,
+        {"Mojim/HotPot (TxB-Page)", &designOf(DesignKind::TxBPageCsums),
          "page", "on application flush", "background scrubbing"},
-        {"Pangolin (TxB-Object)", DesignKind::TxBObjectCsums, true,
+        {"Pangolin (TxB-Object)", &designOf(DesignKind::TxBObjectCsums),
          "object", "on application flush", "on NVM->DRAM copy"},
         // Measured when swept: pass --design vilamb (epoch details in
         // bench_vilamb).
-        {"Vilamb", DesignKind::Vilamb, true, "page", "periodically",
+        {"Vilamb", &designOf(DesignKind::Vilamb), "page", "periodically",
          "background scrubbing"},
-        {"TVARAK", DesignKind::Tvarak, true, "page (CL while mapped)",
+        {"TVARAK", &designOf(DesignKind::Tvarak), "page (CL while mapped)",
          "on LLC->NVM writeback", "on NVM->LLC read"},
     };
-    double base =
-        static_cast<double>(row.results[DesignKind::Baseline]
-                                .runtimeCycles);
+    auto overhead = [&row](const RunResult &r) {
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%+.1f%%",
+                      (normRuntime(row, *r.design) - 1.0) * 100.0);
+        return std::string(buf);
+    };
+    auto printRow = [](const char *design, const char *gran,
+                       const char *update, const char *verify,
+                       const std::string &measured) {
+        std::printf("%-22s %-12s %-26s %-26s %-18s\n", design, gran,
+                    update, verify, measured.c_str());
+    };
     for (const QualRow &q : qual) {
-        char measured[32] = "- (not built)";
-        if (q.measured && row.results.count(q.kind) != 0) {
-            double r = static_cast<double>(
-                           row.results[q.kind].runtimeCycles) /
-                base;
-            std::snprintf(measured, sizeof(measured), "%+.1f%%",
-                          (r - 1.0) * 100.0);
-        } else if (q.measured) {
-            std::snprintf(measured, sizeof(measured),
-                          "- (not swept)");
+        std::string measured = "- (not built)";
+        if (q.measuredAs != nullptr) {
+            const RunResult *r = row.find(*q.measuredAs);
+            measured = r != nullptr ? overhead(*r) : "- (not swept)";
         }
-        std::printf("%-22s %-12s %-26s %-26s %-18s\n", q.design, q.gran,
-                    q.update, q.verify, measured);
+        printRow(q.design, q.gran, q.update, q.verify, measured);
+    }
+    // Swept designs without a qualitative row (e.g. tvarak-naive):
+    // measured overhead only, under the design's own name.
+    for (const RunResult &r : row.results) {
+        bool listed = r.design == &designOf(DesignKind::Baseline);
+        for (const QualRow &q : qual)
+            listed = listed || q.measuredAs == r.design;
+        if (!listed)
+            printRow(r.design->displayName(), "-", "-", "-", overhead(r));
     }
     std::printf("\n(coverage semantics per paper Table I; 'measured "
                 "overhead' is this build's C-Tree insert-only runtime "

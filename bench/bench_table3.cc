@@ -37,8 +37,8 @@ ladderName(TvarakLadder point)
 int
 main(int argc, char **argv)
 {
-    parseBenchArgs(argc, argv, "Table III: simulation parameters",
-                   "table3");
+    rejectSweepFlags(parseBenchArgs(
+        argc, argv, "Table III: simulation parameters", "table3"));
     SimConfig cfg;  // unscaled Table III machine
 
     std::printf("== Table III: simulation parameters ==\n");
@@ -96,7 +96,7 @@ main(int argc, char **argv)
         }
     }
 
-    MemorySystem mem(cfg, DesignKind::Tvarak);
+    MemorySystem mem(cfg, designOf(DesignKind::Tvarak));
     double area = static_cast<double>(
                       mem.tvarak().dedicatedBytesPerController()) /
         static_cast<double>(cfg.llcBank.sizeBytes);

@@ -79,6 +79,7 @@ main(int argc, char **argv)
     BenchArgs args = parseBenchArgs(
         argc, argv, "Table I extension: Vilamb epoch sweep vs TVARAK",
         "vilamb");
+    rejectSweepFlags(args);
     SimConfig cfg = evalConfig();
     const std::vector<std::size_t> epochs = {1, 16, 64, 256};
 
@@ -124,16 +125,8 @@ main(int argc, char **argv)
 
     std::vector<BenchJsonEntry> entries;
     for (std::size_t i = 0; i < batch.size(); i++) {
-        BenchJsonEntry e;
-        e.workload = "ctree-update-only";
-        e.design = batch[i].label;
-        e.runtimeCycles = results[i].runtimeCycles;
-        e.normRuntime = norm(results[i]);
-        e.energyMj = results[i].energyMj;
-        e.nvmDataAccesses = results[i].nvmDataAccesses;
-        e.nvmRedAccesses = results[i].nvmRedAccesses;
-        e.cacheAccesses = results[i].cacheAccesses;
-        entries.push_back(std::move(e));
+        entries.push_back(jsonEntry("ctree-update-only", batch[i].label,
+                                    results[i], norm(results[i])));
     }
     writeBenchJson(args, entries);
     return 0;

@@ -18,6 +18,7 @@
 #include "apps/fio/fio.hh"
 #include "apps/trees/tree_workload.hh"
 #include "harness/runner.hh"
+#include "redundancy/registry.hh"
 #include "redundancy/scheme.hh"
 
 using namespace tvarak;
@@ -90,7 +91,7 @@ main()
 
     for (const Scenario &s : scenarios) {
         RunResult base =
-            runExperiment(cfg, DesignKind::Baseline, s.factory);
+            runExperiment(cfg, designOf(DesignKind::Baseline), s.factory);
         std::printf("%-36s", s.name);
         double best = 1e9;
         std::size_t best_ways = 0;
@@ -98,7 +99,7 @@ main()
             SimConfig vcfg = cfg;
             vcfg.tvarak.redundancyWays = w;
             RunResult r =
-                runExperiment(vcfg, DesignKind::Tvarak, s.factory);
+                runExperiment(vcfg, designOf(DesignKind::Tvarak), s.factory);
             double norm = static_cast<double>(r.runtimeCycles) /
                 static_cast<double>(base.runtimeCycles);
             std::printf(" %8.3f", norm);

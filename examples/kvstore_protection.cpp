@@ -16,6 +16,7 @@
 #include "apps/trees/pmem_map.hh"
 #include "fs/dax_fs.hh"
 #include "pmemlib/pmem_pool.hh"
+#include "redundancy/registry.hh"
 
 using namespace tvarak;
 
@@ -27,7 +28,7 @@ struct Machine {
     PmemPool pool;
     std::unique_ptr<PmemMap> map;
 
-    explicit Machine(DesignKind design)
+    explicit Machine(const Design &design)
         : mem(
               [] {
                   SimConfig cfg;
@@ -91,7 +92,7 @@ int
 main()
 {
     std::printf("=== TVARAK machine ===\n");
-    Machine tv(DesignKind::Tvarak);
+    Machine tv(designOf(DesignKind::Tvarak));
     put(tv, 1, 'A');
     tv.mem.flushAll();  // 'A' at rest, redundancy consistent
 
@@ -121,7 +122,7 @@ main()
                     tv.mem.stats().recoveries));
 
     std::printf("\n=== Baseline machine, same bug ===\n");
-    Machine base(DesignKind::Baseline);
+    Machine base(designOf(DesignKind::Baseline));
     put(base, 1, 'A');
     base.mem.flushAll();
     Addr victim2 = findValueLine(base, 1);

@@ -12,6 +12,7 @@
 
 #include "fs/dax_fs.hh"
 #include "mem/memory_system.hh"
+#include "redundancy/registry.hh"
 #include "sim/rng.hh"
 
 using namespace tvarak;
@@ -22,7 +23,7 @@ main()
     SimConfig cfg;
     cfg.nvm.dimmBytes = 64ull << 20;
     cfg.dram.sizeBytes = 64ull << 20;
-    MemorySystem mem(cfg, DesignKind::Tvarak);
+    MemorySystem mem(cfg, designOf(DesignKind::Tvarak));
     DaxFs fs(mem);
     const Layout &layout = mem.layout();
 

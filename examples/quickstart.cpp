@@ -13,6 +13,7 @@
 
 #include "fs/dax_fs.hh"
 #include "mem/memory_system.hh"
+#include "redundancy/registry.hh"
 
 using namespace tvarak;
 
@@ -20,12 +21,13 @@ int
 main()
 {
     // 1. A Table III machine (12 cores, 24 MB LLC, 4 NVM DIMMs) with
-    //    the TVARAK controllers enabled. DesignKind::Baseline /
-    //    TxBObjectCsums / TxBPageCsums select the comparison designs.
+    //    the TVARAK controllers enabled. findDesign("baseline"),
+    //    "txb-object-csums", "vilamb" or any other registered name
+    //    selects a comparison design.
     SimConfig cfg;
     cfg.nvm.dimmBytes = 64ull << 20;
     cfg.dram.sizeBytes = 64ull << 20;
-    MemorySystem mem(cfg, DesignKind::Tvarak);
+    MemorySystem mem(cfg, designOf(DesignKind::Tvarak));
     DaxFs fs(mem);
 
     // 2. Create a file and DAX-map it. The file system registers every

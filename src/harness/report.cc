@@ -10,35 +10,47 @@ namespace tvarak {
 
 namespace {
 
+/** Every registered design in report column order: the paper four,
+ *  then the rest in registry order. */
+std::vector<const Design *>
+columnOrder()
+{
+    std::vector<const Design *> order = paperDesigns();
+    for (const Design *d : allRegisteredDesigns()) {
+        if (std::find(order.begin(), order.end(), d) == order.end())
+            order.push_back(d);
+    }
+    return order;
+}
+
 const RunResult &
 baselineOf(const FigureRow &row)
 {
     // Paper order starts with Baseline (the normalization reference).
-    auto it = row.results.find(allDesigns().front());
-    panic_if(it == row.results.end(), "row %s lacks a Baseline run",
+    const RunResult *base = row.find(*paperDesigns().front());
+    panic_if(base == nullptr, "row %s lacks a Baseline run",
              row.workload.c_str());
-    return it->second;
+    return *base;
 }
 
 /**
  * Report columns: the paper's four designs, plus any other registered
- * kind (e.g. Vilamb) that actually appears in @p rows, in registry
- * order. Keeps the classic four-column layout byte-identical while
- * extra designs opt in by being measured.
+ * design (e.g. Vilamb, tvarak-naive) that actually appears in @p rows,
+ * in registry order. Keeps the classic four-column layout
+ * byte-identical while extra designs opt in by being measured.
  */
-std::vector<DesignKind>
-columnKinds(const std::vector<FigureRow> &rows)
+std::vector<const Design *>
+columns(const std::vector<FigureRow> &rows)
 {
-    std::vector<DesignKind> cols = allDesigns();
-    for (const Design *d : allRegisteredDesigns()) {
-        DesignKind k = d->kind();
-        if (std::find(cols.begin(), cols.end(), k) != cols.end())
+    std::vector<const Design *> cols = paperDesigns();
+    for (const Design *d : columnOrder()) {
+        if (std::find(cols.begin(), cols.end(), d) != cols.end())
             continue;
         bool present = false;
         for (const FigureRow &row : rows)
-            present = present || row.results.count(k) != 0;
+            present = present || row.find(*d) != nullptr;
         if (present)
-            cols.push_back(k);
+            cols.push_back(d);
     }
     return cols;
 }
@@ -47,23 +59,21 @@ void
 printPanel(const char *title, const std::vector<FigureRow> &rows,
            double (*value)(const RunResult &))
 {
-    std::vector<DesignKind> cols = columnKinds(rows);
+    std::vector<const Design *> cols = columns(rows);
     std::printf("\n  %s (normalized to Baseline)\n", title);
     std::printf("  %-26s", "workload");
-    for (DesignKind d : cols)
-        std::printf(" %18s", designName(d));
+    for (const Design *d : cols)
+        std::printf(" %18s", d->displayName());
     std::printf("\n");
     for (const FigureRow &row : rows) {
         double base = value(baselineOf(row));
         std::printf("  %-26s", row.workload.c_str());
-        for (DesignKind d : cols) {
-            auto it = row.results.find(d);
-            if (it == row.results.end()) {
+        for (const Design *d : cols) {
+            const RunResult *r = row.find(*d);
+            if (r == nullptr)
                 std::printf(" %18s", "-");
-            } else {
-                std::printf(" %18.3f",
-                            base > 0 ? value(it->second) / base : 0.0);
-            }
+            else
+                std::printf(" %18.3f", base > 0 ? value(*r) / base : 0.0);
         }
         std::printf("\n");
     }
@@ -94,12 +104,41 @@ sawResilienceEvents(const Stats &s)
 
 }  // namespace
 
-double
-normRuntime(const FigureRow &row, DesignKind design)
+void
+FigureRow::add(RunResult run)
 {
-    auto it = row.results.find(design);
-    panic_if(it == row.results.end(), "missing design in row");
-    return static_cast<double>(it->second.runtimeCycles) /
+    panic_if(run.design == nullptr || find(*run.design) != nullptr,
+             "row %s: a run needs a design not yet in the row",
+             workload.c_str());
+    std::vector<const Design *> order = columnOrder();
+    auto rank = [&order](const RunResult &r) {
+        return std::find(order.begin(), order.end(), r.design) -
+            order.begin();
+    };
+    auto at = std::find_if(results.begin(), results.end(),
+                           [&](const RunResult &r) {
+                               return rank(r) > rank(run);
+                           });
+    results.insert(at, std::move(run));
+}
+
+const RunResult *
+FigureRow::find(const Design &design) const
+{
+    for (const RunResult &r : results) {
+        if (r.design == &design)
+            return &r;
+    }
+    return nullptr;
+}
+
+double
+normRuntime(const FigureRow &row, const Design &design)
+{
+    const RunResult *r = row.find(design);
+    panic_if(r == nullptr, "row %s lacks a %s run", row.workload.c_str(),
+             design.displayName());
+    return static_cast<double>(r->runtimeCycles) /
         static_cast<double>(baselineOf(row).runtimeCycles);
 }
 
@@ -114,18 +153,14 @@ printFigureGroup(const std::string &caption,
     printPanel("Cache accesses", rows, cacheValue);
 
     std::printf("\n  NVM access split (absolute, data + redundancy)\n");
-    std::vector<DesignKind> cols = columnKinds(rows);
     for (const FigureRow &row : rows) {
-        for (DesignKind d : cols) {
-            auto it = row.results.find(d);
-            if (it == row.results.end())
-                continue;
+        for (const RunResult &r : row.results) {
             std::printf("  %-26s %-18s data=%-12llu red=%llu\n",
-                        row.workload.c_str(), designName(d),
+                        row.workload.c_str(), r.design->displayName(),
                         static_cast<unsigned long long>(
-                            it->second.nvmDataAccesses),
+                            r.nvmDataAccesses),
                         static_cast<unsigned long long>(
-                            it->second.nvmRedAccesses));
+                            r.nvmRedAccesses));
         }
     }
 
@@ -137,21 +172,18 @@ printResilienceSection(const std::vector<FigureRow> &rows)
 {
     bool any = false;
     for (const FigureRow &row : rows)
-        for (const auto &kv : row.results)
-            any = any || sawResilienceEvents(kv.second.stats);
+        for (const RunResult &r : row.results)
+            any = any || sawResilienceEvents(r.stats);
     if (!any)
         return;
 
     std::printf("\n  Resilience events (absolute; faults, recovery, "
                 "degraded mode)\n");
-    std::vector<DesignKind> cols = columnKinds(rows);
     for (const FigureRow &row : rows) {
-        for (DesignKind d : cols) {
-            auto it = row.results.find(d);
-            if (it == row.results.end() ||
-                !sawResilienceEvents(it->second.stats))
+        for (const RunResult &r : row.results) {
+            if (!sawResilienceEvents(r.stats))
                 continue;
-            const Stats &s = it->second.stats;
+            const Stats &s = r.stats;
             // dread counts degraded reads served with one DIMM down,
             // mread those served with >= 2 down (the erasure-coded
             // designs' extra budget); restart counts rebuild sweeps
@@ -160,7 +192,7 @@ printResilienceSection(const std::vector<FigureRow> &rows)
                         "dread=%-8llu mread=%-8llu wdrop=%-8llu "
                         "rskip=%-8llu rebuild=%-10llu restart=%-4llu "
                         "scrub=%-10llu fix=%llu\n",
-                        row.workload.c_str(), designName(d),
+                        row.workload.c_str(), r.design->displayName(),
                         static_cast<unsigned long long>(
                             s.corruptionsDetected),
                         static_cast<unsigned long long>(s.recoveries),
@@ -187,18 +219,14 @@ printFigureCsv(const std::string &figureId,
     std::printf("\ncsv,%s,workload,design,runtime_cycles,norm_runtime,"
                 "energy_mj,nvm_data,nvm_red,cache_accesses\n",
                 figureId.c_str());
-    std::vector<DesignKind> cols = columnKinds(rows);
     for (const FigureRow &row : rows) {
         double base =
             static_cast<double>(baselineOf(row).runtimeCycles);
-        for (DesignKind d : cols) {
-            auto it = row.results.find(d);
-            if (it == row.results.end())
-                continue;
-            const RunResult &r = it->second;
+        for (const RunResult &r : row.results) {
             std::printf(
                 "csv,%s,%s,%s,%llu,%.4f,%.4f,%llu,%llu,%llu\n",
-                figureId.c_str(), row.workload.c_str(), designName(d),
+                figureId.c_str(), row.workload.c_str(),
+                r.design->displayName(),
                 static_cast<unsigned long long>(r.runtimeCycles),
                 static_cast<double>(r.runtimeCycles) / base, r.energyMj,
                 static_cast<unsigned long long>(r.nvmDataAccesses),

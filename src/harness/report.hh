@@ -8,7 +8,6 @@
 
 #pragma once
 
-#include <map>
 #include <string>
 #include <vector>
 
@@ -16,10 +15,19 @@
 
 namespace tvarak {
 
-/** One cluster of bars: a workload under every design. */
+/**
+ * One cluster of bars: a workload under every measured design. The
+ * runs are kept in report column order: the four paper designs first,
+ * then every other registered design, in registry order.
+ */
 struct FigureRow {
     std::string workload;
-    std::map<DesignKind, RunResult> results;
+    std::vector<RunResult> results;
+
+    /** Insert @p run at its column; at most one run per design. */
+    void add(RunResult run);
+    /** The run under @p design, or nullptr if it was not measured. */
+    const RunResult *find(const Design &design) const;
 };
 
 /** Print all four panels (runtime/energy/NVM/cache) of a Fig 8 group. */
@@ -41,8 +49,8 @@ void printRuntimeTable(const std::string &caption,
                        const std::vector<std::string> &rowNames,
                        const std::vector<std::vector<double>> &normRuntime);
 
-/** Normalized-to-baseline helper. */
-double normRuntime(const FigureRow &row, DesignKind design);
+/** Runtime of @p row's run under @p design over its Baseline run. */
+double normRuntime(const FigureRow &row, const Design &design);
 
 /** CSV emission alongside the human tables (for plotting). */
 void printFigureCsv(const std::string &figureId,

@@ -5,32 +5,6 @@
 
 namespace tvarak {
 
-const std::vector<DesignKind> &
-allDesigns()
-{
-    static const std::vector<DesignKind> designs = [] {
-        std::vector<DesignKind> kinds;
-        for (const Design *d : paperDesigns())
-            kinds.push_back(d->kind());
-        return kinds;
-    }();
-    return designs;
-}
-
-RunResult
-runExperiment(const SimConfig &cfg, DesignKind design,
-              const WorkloadFactory &make)
-{
-    return runExperiment(cfg, designOf(design), make, RunHooks{});
-}
-
-RunResult
-runExperiment(const SimConfig &cfg, DesignKind design,
-              const WorkloadFactory &make, const RunHooks &hooks)
-{
-    return runExperiment(cfg, designOf(design), make, hooks);
-}
-
 RunResult
 runExperiment(const SimConfig &cfg, const Design &design,
               const WorkloadFactory &make)
@@ -79,7 +53,7 @@ runExperiment(const SimConfig &cfg, const Design &design,
 
     const Stats &s = mem.stats();
     RunResult r;
-    r.design = design.kind();
+    r.design = &design;
     r.runtimeCycles = s.runtimeCycles();
     r.runtimeMs = static_cast<double>(r.runtimeCycles) /
         (cfg.coreGhz * 1e6);

@@ -1,7 +1,9 @@
 /**
  * @file
  * Experiment runner: builds a machine, runs a workload set under one
- * redundancy design, returns the Fig 8 quantities.
+ * registered redundancy Design, returns the Fig 8 quantities. The
+ * result carries that Design, so every variant keeps its identity in
+ * reports, JSON and tool output.
  */
 
 #pragma once
@@ -16,9 +18,11 @@
 
 namespace tvarak {
 
+class Design;
+
 /** Everything the paper plots, for one (workload, design) run. */
 struct RunResult {
-    DesignKind design{};  //!< serialization identity of the run's design
+    const Design *design = nullptr;  //!< the registered design run
     Cycles runtimeCycles = 0;
     double runtimeMs = 0;
     double energyMj = 0;            //!< millijoules
@@ -63,8 +67,6 @@ struct RunHooks {
     std::function<void(MemorySystem &)> beforeFlush;
 };
 
-class Design;
-
 /**
  * Run @p make's workloads to completion under @p design (any
  * registered Design, variants included).
@@ -80,16 +82,6 @@ RunResult runExperiment(const SimConfig &cfg, const Design &design,
 RunResult runExperiment(const SimConfig &cfg, const Design &design,
                         const WorkloadFactory &make,
                         const RunHooks &hooks);
-
-/** Convenience shims: the canonical design for @p design. */
-RunResult runExperiment(const SimConfig &cfg, DesignKind design,
-                        const WorkloadFactory &make);
-RunResult runExperiment(const SimConfig &cfg, DesignKind design,
-                        const WorkloadFactory &make,
-                        const RunHooks &hooks);
-
-/** The four designs of the evaluation, in paper order. */
-const std::vector<DesignKind> &allDesigns();
 
 }  // namespace tvarak
 

@@ -65,17 +65,7 @@ MemorySystem::MemorySystem(const SimConfig &cfg, const Design &design)
     ctrl_ = design.makeController(*this);
 }
 
-MemorySystem::MemorySystem(const SimConfig &cfg, DesignKind kind)
-    : MemorySystem(cfg, designOf(kind))
-{}
-
 MemorySystem::~MemorySystem() = default;
-
-DesignKind
-MemorySystem::design() const
-{
-    return design_->kind();
-}
 
 //
 // Translation & functional plumbing

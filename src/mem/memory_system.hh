@@ -77,8 +77,6 @@ class MemorySystem final : private StripeView::Source
     /** Run under @p design (a registered Design drives all
      *  design-specific behaviour; see redundancy/registry.hh). */
     MemorySystem(const SimConfig &cfg, const Design &design);
-    /** Convenience shim: the canonical design for @p kind. */
-    MemorySystem(const SimConfig &cfg, DesignKind kind);
     ~MemorySystem();
 
     /** @name Timed access API (what workloads call) */
@@ -185,8 +183,6 @@ class MemorySystem final : private StripeView::Source
     /** Invalidate-without-writeback is deliberately not offered:
      *  redundancy consistency requires writebacks. */
 
-    /** The active design's serialization identity. */
-    DesignKind design() const;
     /** The active design object (policy queries, scheme vending). */
     const Design &designObj() const { return *design_; }
     /** Checksum format of DAX-mapped data under this design and its

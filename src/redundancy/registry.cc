@@ -419,13 +419,4 @@ registeredNameList()
     return out;
 }
 
-const char *
-designName(DesignKind kind)
-{
-    for (const Design *d : allRegisteredDesigns())
-        if (d->kind() == kind)
-            return d->displayName();
-    return "?";
-}
-
 }  // namespace tvarak

@@ -13,11 +13,14 @@
  * Designs live in a string-keyed registry that config, CLI, bench,
  * trace and fault tooling all resolve through: `--design vilamb`
  * works everywhere, and each Fig-9 ablation point is a registered
- * `tvarak-*` variant that owns its TvarakLadder point.
+ * `tvarak-*` variant that owns its TvarakLadder point. A run, a
+ * figure row and a tool's output are keyed by the registered Design
+ * itself, so variants keep their own identity end to end.
  *
+ * `DesignKind` is only the design byte of the trace header: the
+ * TraceWriter stores it and designOf()/isRegisteredKind() decode it.
  * This translation unit pair is the only place allowed to switch or
- * compare on `DesignKind` (lint rule R8): everything else dispatches
- * through the Design object.
+ * compare on it (lint rule R8).
  */
 
 #pragma once
@@ -35,6 +38,28 @@ namespace tvarak {
 
 class MemorySystem;
 class RedundancyScheme;
+
+/**
+ * The frozen design byte of the trace header. Several registered
+ * designs share one value (the Fig-9 variants and the RS n+k designs
+ * are all Tvarak), so it names a design family, never a run: results
+ * are keyed by the Design object.
+ */
+enum class DesignKind {
+    /** No redundancy maintenance at all. */
+    Baseline,
+    /** Hardware offload at the LLC banks (the paper's contribution). */
+    Tvarak,
+    /** Software object-granular checksums at transaction boundary
+     *  (Pangolin-like). */
+    TxBObjectCsums,
+    /** Software page-granular checksums at transaction boundary
+     *  (Mojim/HotPot-like). */
+    TxBPageCsums,
+    /** Software page-granular checksums batched over epochs
+     *  (Vilamb, Kateja et al. 2020). */
+    Vilamb,
+};
 
 /**
  * Hardware hook a Design installs at the LLC/NVM boundary. The base
@@ -146,7 +171,7 @@ class Design
     Design(const Design &) = delete;
     Design &operator=(const Design &) = delete;
 
-    /** Stable serialization identity (shared by design variants). */
+    /** Trace-header byte (shared by design variants). */
     DesignKind kind() const { return kind_; }
 
     /** Registry key: lowercase CLI spelling, e.g. "txb-page-csums". */

@@ -44,15 +44,15 @@ class PoissonArrivals : public ArrivalProcess
 /**
  * ON-OFF bursts with the same long-run offered rate as the Poisson
  * stream. A burst holds a geometric number of arrivals (mean
- * burstMeanLen) spaced burstGapFactor * meanGap apart; the OFF gap
+ * kBurstMeanLen) spaced kBurstGapFactor * meanGap apart; the OFF gap
  * between bursts makes up the deficit so that over one mean-length
  * burst the average gap equals meanGap:
  *
- *   offGap = B * meanGap - (B - 1) * intraGap      (B = burstMeanLen)
+ *   offGap = B * meanGap - (B - 1) * intraGap      (B = kBurstMeanLen)
  *
  * i.e. B arrivals still span B mean gaps on average, they are just
  * front-loaded. The instantaneous rate inside a burst is
- * 1/burstGapFactor times the offered rate, which is what stresses the
+ * 1/kBurstGapFactor times the offered rate, which is what stresses the
  * queue and separates synchronous from deferred redundancy at p999.
  */
 class BurstyArrivals : public ArrivalProcess
@@ -60,13 +60,12 @@ class BurstyArrivals : public ArrivalProcess
   public:
     explicit BurstyArrivals(const ArrivalParams &p)
         : rng_(p.seed), meanGap_(p.meanGapCycles),
-          continueProb_(1.0 - 1.0 / (p.burstMeanLen < 1.0
-                                     ? 1.0 : p.burstMeanLen))
+          continueProb_(1.0 - 1.0 / kBurstMeanLen)
     {
-        double intra = p.burstGapFactor * meanGap_;
+        double intra = kBurstGapFactor * meanGap_;
         intraGap_ = clampGap(intra);
-        double off = p.burstMeanLen * meanGap_ -
-            (p.burstMeanLen - 1.0) * intra;
+        double off = kBurstMeanLen * meanGap_ -
+            (kBurstMeanLen - 1.0) * intra;
         offGap_ = clampGap(off);
     }
 

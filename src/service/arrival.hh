@@ -53,14 +53,15 @@ struct ArrivalParams {
      */
     double meanGapCycles = 0.0;
     std::uint64_t seed = 1;
-    /** @name Bursty (ON-OFF) shape */
-    /**@{*/
-    /** Mean arrivals per ON burst (geometric). */
-    double burstMeanLen = 16.0;
-    /** Intra-burst gap as a fraction of the mean gap (< 1). */
-    double burstGapFactor = 0.25;
-    /**@}*/
 };
+
+/** @name Bursty (ON-OFF) shape */
+/**@{*/
+/** Mean arrivals per ON burst (geometric). */
+constexpr double kBurstMeanLen = 16.0;
+/** Intra-burst gap as a fraction of the mean gap (< 1). */
+constexpr double kBurstGapFactor = 0.25;
+/**@}*/
 
 class ArrivalProcess
 {

@@ -14,6 +14,9 @@ namespace tvarak::service {
 
 namespace {
 
+/** Rebuild lines swept per reactor idle gap while a rebuild runs. */
+constexpr std::size_t kRebuildLinesPerIdle = 64;
+
 /** Demand cycles @p fn adds to thread @p tid. */
 template <typename Fn>
 Cycles
@@ -150,7 +153,7 @@ runService(const SimConfig &cfg, const Design &design,
         int tid = static_cast<int>(server);
 
         Cycles readyAt = freeAt[server];
-        if (svc.idleDrain && now > readyAt &&
+        if (now > readyAt &&
             (scheme != nullptr || rebuild != nullptr)) {
             // Reactor idle gap: run the idle pollers. Their cycles are
             // real — a long drain can delay this very request — but
@@ -162,7 +165,7 @@ runService(const SimConfig &cfg, const Design &design,
                     scheme->drain(tid);
                 if (rebuild) {
                     out.rebuildIdleLines +=
-                        rebuild->step(svc.rebuildLinesPerIdle);
+                        rebuild->step(kRebuildLinesPerIdle);
                 }
             });
             if (drained > 0) {

@@ -65,10 +65,6 @@ struct ServiceConfig {
     std::size_t servers = 4;
     std::size_t requests = 4096;
     ArrivalParams arrival;
-    /** Drain deferred redundancy + rebuild work in reactor idle gaps. */
-    bool idleDrain = true;
-    /** Rebuild lines swept per idle gap while a rebuild is active. */
-    std::size_t rebuildLinesPerIdle = 64;
     /** @name Single-DIMM fault shorthand (0 = disabled; 1-based
      *  request indices). Folded into the schedule below at run time. */
     /**@{*/

@@ -4,10 +4,6 @@
 
 namespace tvarak {
 
-// designName(DesignKind) is implemented by the design registry
-// (src/redundancy/registry.cc), the single source of truth for
-// design names.
-
 void
 SimConfig::validate() const
 {

@@ -19,31 +19,6 @@
 namespace tvarak {
 
 /**
- * Which redundancy design a simulation runs. The enum is the stable
- * on-disk/serialization identity of a design; all behavioral dispatch
- * goes through the `Design` objects in redundancy/registry.hh, which
- * is the only translation unit allowed to switch over it (lint R8).
- */
-enum class DesignKind {
-    /** No redundancy maintenance at all. */
-    Baseline,
-    /** Hardware offload at the LLC banks (the paper's contribution). */
-    Tvarak,
-    /** Software object-granular checksums at transaction boundary
-     *  (Pangolin-like). */
-    TxBObjectCsums,
-    /** Software page-granular checksums at transaction boundary
-     *  (Mojim/HotPot-like). */
-    TxBPageCsums,
-    /** Software page-granular checksums batched over epochs
-     *  (Vilamb, Kateja et al. 2020). */
-    Vilamb,
-};
-
-/** Printable name of a design (implemented by the design registry). */
-const char *designName(DesignKind kind);
-
-/**
  * The cumulative points of the paper's Fig-9 ablation ladder: TVARAK
  * is built from the naive controller of Section III one optimization
  * at a time, and each point keeps every optimization of the points

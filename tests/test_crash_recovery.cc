@@ -40,7 +40,7 @@ TEST(Checkpoint, PowerCyclePreservesFlushedData)
 {
     TempImage img;
     {
-        MemorySystem mem(test::smallConfig(), DesignKind::Tvarak);
+        MemorySystem mem(test::smallConfig(), designOf(DesignKind::Tvarak));
         DaxFs fs(mem);
         int fd = fs.create("data", 16 * kPageBytes);
         Addr base = fs.daxMap(fd);
@@ -51,7 +51,7 @@ TEST(Checkpoint, PowerCyclePreservesFlushedData)
         // A fresh machine boots from the image; the file system's
         // superblock brings the namespace back (unmapped, like any
         // DAX file system after reboot).
-        MemorySystem mem(test::smallConfig(), DesignKind::Tvarak);
+        MemorySystem mem(test::smallConfig(), designOf(DesignKind::Tvarak));
         ASSERT_TRUE(mem.loadNvmImage(img.path));
         DaxFs fs(mem);
         int fd = fs.open("data");
@@ -66,7 +66,7 @@ TEST(Checkpoint, PowerCyclePreservesFlushedData)
 TEST(Checkpoint, UnflushedDataDoesNotSurvive)
 {
     TempImage img;
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     int fd = fs.create("data", kFilePages * kPageBytes);
     Addr base = fs.daxMap(fd);
@@ -76,7 +76,7 @@ TEST(Checkpoint, UnflushedDataDoesNotSurvive)
     // Save WITHOUT the implicit flush: raw media only.
     ASSERT_TRUE(mem.nvmArray().saveImage(img.path));
 
-    MemorySystem mem2(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem2(test::smallConfig(), designOf(DesignKind::Baseline));
     ASSERT_TRUE(mem2.loadNvmImage(img.path));
     DaxFs fs2(mem2);
     int fd2 = fs2.open("data");
@@ -88,11 +88,11 @@ TEST(Checkpoint, UnflushedDataDoesNotSurvive)
 TEST(Checkpoint, GeometryMismatchRejected)
 {
     TempImage img;
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     ASSERT_TRUE(mem.saveNvmImage(img.path));
     SimConfig other = test::smallConfig();
     other.nvm.dimmBytes *= 2;
-    MemorySystem mem2(other, DesignKind::Baseline);
+    MemorySystem mem2(other, designOf(DesignKind::Baseline));
     EXPECT_FALSE(mem2.loadNvmImage(img.path));
 }
 
@@ -100,7 +100,7 @@ class PoolRecovery : public ::testing::Test
 {
   protected:
     PoolRecovery()
-        : mem(test::smallConfig(), DesignKind::Tvarak), fs(mem)
+        : mem(test::smallConfig(), designOf(DesignKind::Tvarak)), fs(mem)
     {}
 
     MemorySystem mem;
@@ -191,7 +191,7 @@ TEST_F(PoolRecovery, TreeSurvivesCrashDuringInsert)
         mem.saveNvmImage(img.path);  // power fails here
     }
     // Reboot.
-    MemorySystem mem2(test::smallConfig(), DesignKind::Tvarak);
+    MemorySystem mem2(test::smallConfig(), designOf(DesignKind::Tvarak));
     ASSERT_TRUE(mem2.loadNvmImage(img.path));
     DaxFs fs2(mem2);
     PmemPool pool2(mem2, fs2, "p", 4ull << 20, nullptr, 1);

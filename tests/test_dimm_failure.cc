@@ -42,14 +42,6 @@ valueFor(std::uint64_t key, std::uint64_t version, std::uint8_t *out)
  *  actions on the faulty machine and nothing on the twin, so both see
  *  the identical operation stream. */
 struct MapRig {
-    explicit MapRig(DesignKind design)
-        : mem(test::smallConfig(), design),
-          fs(mem),
-          pool(mem, fs, "p", 4ull << 20, nullptr, 1),
-          map(makeMap(MapKind::CTree, mem, pool, kValueBytes))
-    {
-    }
-
     explicit MapRig(const Design &design)
         : mem(test::smallConfig(), design),
           fs(mem),
@@ -102,8 +94,8 @@ struct MapRig {
 
 TEST(DimmFailure, TvarakSurvivesAndRebuildsBitExact)
 {
-    MapRig faulty(DesignKind::Tvarak);
-    MapRig twin(DesignKind::Tvarak);
+    MapRig faulty(designOf(DesignKind::Tvarak));
+    MapRig twin(designOf(DesignKind::Tvarak));
 
     std::size_t target =
         faulty.mem.nvmArray().dimmOf(faulty.fs.filePage(0, 1));
@@ -271,7 +263,7 @@ TEST(DimmFailure, DoubleFaultReadChargesOnlyLiveMembers)
     // read cannot decode. It reads (and bills) the surviving members
     // only — a dead DIMM serves no read, so its occupancy must not
     // move — and reports a detected loss.
-    MapRig rig(DesignKind::Tvarak);
+    MapRig rig(designOf(DesignKind::Tvarak));
     rig.run([](std::size_t) {});
     rig.mem.dropCaches();  // cold: the read below must fill
     NvmArray &nvm = rig.mem.nvmArray();
@@ -307,7 +299,7 @@ TEST(DimmFailure, UnmappedIoDetectsOrServesCorrect)
     // with no hardware scheme, unmapped files carry page checksums and
     // parity, so a dead DIMM is either reconstructed around or the
     // loss is *detected* — never a silently wrong read.
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     int fd = fs.create("f", kFilePages * kPageBytes);
     std::vector<std::uint8_t> page(kPageBytes), got(kPageBytes);
@@ -359,7 +351,7 @@ TEST(DimmFailure, UnmappedIoDetectsOrServesCorrect)
 
 TEST(Scrubber, IncrementalRepairAndDegradedSkip)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     int fd = fs.create("f", kFilePages * kPageBytes);
     std::vector<std::uint8_t> page(kPageBytes, 0x5a);

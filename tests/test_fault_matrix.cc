@@ -43,7 +43,7 @@ class FaultMatrix
 TEST_P(FaultMatrix, DetectAndRecover)
 {
     auto [bug, kind] = GetParam();
-    MemorySystem mem(test::smallConfig(), DesignKind::Tvarak);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Tvarak));
     DaxFs fs(mem);
     PmemPool pool(mem, fs, "p", 4ull << 20, nullptr, 1);
     auto map = makeMap(kind, mem, pool, 48);
@@ -182,7 +182,7 @@ class DesignMatrix
 TEST_P(DesignMatrix, DetectionAtDesignGranularity)
 {
     auto [bug, design] = GetParam();
-    MemorySystem mem(test::smallConfig(), design);
+    MemorySystem mem(test::smallConfig(), designOf(design));
     DaxFs fs(mem);
     auto scheme = mem.designObj().makeScheme(mem);
     PmemPool pool(mem, fs, "p", 4ull << 20, scheme.get(), 1);
@@ -407,7 +407,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          DesignKind::TxBPageCsums,
                                          DesignKind::Vilamb)),
     [](const auto &info) {
-        std::string d = designName(std::get<1>(info.param));
+        std::string d = designOf(std::get<1>(info.param)).displayName();
         std::string out = std::string(bugName(std::get<0>(info.param)));
         for (char c : d)
             if (c != '-')
@@ -417,7 +417,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(FaultRedis, LostWriteOnHashtableEntry)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Tvarak);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Tvarak));
     DaxFs fs(mem);
     PmemPool pool(mem, fs, "redis", 8ull << 20, nullptr, 1);
     RedisStore store(mem, pool, 8, 64);

@@ -24,7 +24,9 @@ constexpr std::size_t kFilePages = 8;
 class FsTest : public ::testing::Test
 {
   protected:
-    FsTest() : mem(test::smallConfig(), DesignKind::Tvarak), fs(mem) {}
+    FsTest()
+        : mem(test::smallConfig(), designOf(DesignKind::Tvarak)), fs(mem)
+    {}
 
     MemorySystem mem;
     DaxFs fs;
@@ -241,7 +243,7 @@ TEST(FsDesigns, ScrubSkipsUncoveredMappedFiles)
 {
     // Under Baseline, a mapped file has no maintained checksums; scrub
     // must not report garbage (Table I: no coverage while DAX mapped).
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     int fd = fs.create("k", 4 * kPageBytes);
     Addr base = fs.daxMap(fd);

@@ -145,7 +145,7 @@ TEST(LintConfig, ParsesTheRealConfigHeader)
     // Member functions and enums must not show up as fields.
     EXPECT_FALSE(has("SimConfig", "nsToCycles"));
     EXPECT_FALSE(has("SimConfig", "validate"));
-    EXPECT_FALSE(has("DesignKind", "Baseline"));
+    EXPECT_FALSE(has("TvarakLadder", "Naive"));
 }
 
 // -------------------------------------------------------- fixtures

@@ -27,7 +27,7 @@ class MemorySystemTest : public ::testing::Test
 {
   protected:
     MemorySystemTest()
-        : mem(test::smallConfig(), DesignKind::Baseline), fs(mem)
+        : mem(test::smallConfig(), designOf(DesignKind::Baseline)), fs(mem)
     {}
 
     MemorySystem mem;
@@ -224,8 +224,8 @@ TEST_F(MemorySystemTest, WorkingSetLargerThanCachesStillCorrect)
 TEST(MemorySystemDesign, TvarakLosesLlcWays)
 {
     SimConfig cfg = test::smallConfig();
-    MemorySystem base(cfg, DesignKind::Baseline);
-    MemorySystem tv(cfg, DesignKind::Tvarak);
+    MemorySystem base(cfg, designOf(DesignKind::Baseline));
+    MemorySystem tv(cfg, designOf(DesignKind::Tvarak));
     EXPECT_EQ(base.llcDataWays(), cfg.llcBank.ways);
     EXPECT_EQ(tv.llcDataWays(),
               cfg.llcBank.ways - cfg.tvarak.redundancyWays -

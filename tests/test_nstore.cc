@@ -20,7 +20,7 @@ class NStoreTest : public ::testing::Test
 {
   protected:
     NStoreTest()
-        : mem(test::smallConfig(), DesignKind::Tvarak),
+        : mem(test::smallConfig(), designOf(DesignKind::Tvarak)),
           fs(mem),
           store(std::make_shared<NStore>(mem, fs, nullptr, 256, 128, 2))
     {}
@@ -118,7 +118,7 @@ TEST(NStoreDriver, MixFractions)
 
 TEST(NStoreDriver, RunsToCompletion)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     auto store = std::make_shared<NStore>(mem, fs, nullptr, 512, 256, 2);
     NStoreWorkload::Params p;

@@ -91,7 +91,7 @@ fioFactory(FioWorkload::Pattern pattern)
 Cycles
 runtimeOf(DesignKind design, const WorkloadFactory &make)
 {
-    return runExperiment(test::smallConfig(), design, make)
+    return runExperiment(test::smallConfig(), designOf(design), make)
         .runtimeCycles;
 }
 
@@ -159,7 +159,7 @@ TEST(PaperClaims, SequentialCheaperThanRandomForTvarak)
     SimConfig cfg = evalConfig();
     auto runtime = [&](DesignKind d, const WorkloadFactory &f) {
         return static_cast<double>(
-            runExperiment(cfg, d, f).runtimeCycles);
+            runExperiment(cfg, designOf(d), f).runtimeCycles);
     };
     double seq_overhead = runtime(DesignKind::Tvarak, seq) /
         runtime(DesignKind::Baseline, seq);
@@ -176,7 +176,7 @@ TEST(PaperClaims, NaiveControllerFarWorseThanTvarak)
 {
     auto factory = treeInsertFactory(12);  // full machine load
     SimConfig cfg = evalConfig();
-    Cycles tvarak = runExperiment(cfg, DesignKind::Tvarak, factory)
+    Cycles tvarak = runExperiment(cfg, designOf(DesignKind::Tvarak), factory)
                         .runtimeCycles;
     Cycles naive =
         runExperiment(cfg, *findDesign("tvarak-naive"), factory)
@@ -191,9 +191,10 @@ TEST(PaperClaims, TvarakEnergyBelowSoftwareSchemes)
     auto factory = treeInsertFactory();
     SimConfig cfg = test::smallConfig();
     double tvarak =
-        runExperiment(cfg, DesignKind::Tvarak, factory).energyMj;
+        runExperiment(cfg, designOf(DesignKind::Tvarak), factory).energyMj;
     double txb_p =
-        runExperiment(cfg, DesignKind::TxBPageCsums, factory).energyMj;
+        runExperiment(cfg, designOf(DesignKind::TxBPageCsums), factory)
+            .energyMj;
     EXPECT_LT(tvarak, txb_p);
 }
 
@@ -202,8 +203,8 @@ TEST(PaperClaims, TvarakEnergyBelowSoftwareSchemes)
 TEST(PaperClaims, FullCoverageCounters)
 {
     auto factory = fioFactory(FioWorkload::Pattern::RandWrite);
-    RunResult r =
-        runExperiment(test::smallConfig(), DesignKind::Tvarak, factory);
+    RunResult r = runExperiment(test::smallConfig(),
+                                designOf(DesignKind::Tvarak), factory);
     EXPECT_GT(r.stats.readVerifications, 0u);
     // Every DAX fill is verified; the handful of extra data-reads are
     // old-data fetches for writebacks whose diff was unavailable.

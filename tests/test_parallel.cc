@@ -79,9 +79,9 @@ mixedBatch()
     SimConfig cfg = test::smallConfig();
     std::vector<ExperimentJob> jobs;
     int steps = 100;
-    for (DesignKind d : allDesigns()) {
-        jobs.push_back({std::string("churn-") + designName(d), cfg,
-                        &designOf(d), churnFactory(steps)});
+    for (const Design *d : paperDesigns()) {
+        jobs.push_back({std::string("churn-") + d->displayName(), cfg, d,
+                        churnFactory(steps)});
         steps += 60;  // distinct stats per job
     }
     return jobs;
@@ -113,7 +113,7 @@ TEST(Parallel, ResultsInSubmissionOrder)
     auto results = runExperiments(jobs, 3);
     ASSERT_EQ(results.size(), jobs.size());
     for (std::size_t i = 0; i < jobs.size(); i++) {
-        EXPECT_EQ(results[i].design, jobs[i].design->kind());
+        EXPECT_EQ(results[i].design, jobs[i].design);
         RunResult direct = runExperiment(jobs[i].cfg, *jobs[i].design,
                                          jobs[i].make);
         EXPECT_EQ(statsDiff(results[i].stats, direct.stats), "")
@@ -145,7 +145,7 @@ TEST(Parallel, ZeroWorkersMeansHardwareConcurrency)
     jobs.resize(1);
     auto results = runExperiments(jobs, 0);
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].design, jobs[0].design->kind());
+    EXPECT_EQ(results[0].design, jobs[0].design);
 }
 
 }  // namespace

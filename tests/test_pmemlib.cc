@@ -21,7 +21,7 @@ class PoolTest : public ::testing::TestWithParam<DesignKind>
     void SetUp() override
     {
         mem = std::make_unique<MemorySystem>(test::smallConfig(),
-                                             GetParam());
+                                             designOf(GetParam()));
         fs = std::make_unique<DaxFs>(*mem);
         scheme = mem->designObj().makeScheme(*mem);
         pool = std::make_unique<PmemPool>(*mem, *fs, "pool",
@@ -125,7 +125,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DesignKind::TxBObjectCsums,
                       DesignKind::TxBPageCsums),
     [](const auto &info) {
-        std::string n = designName(info.param);
+        std::string n = designOf(info.param).displayName();
         std::erase(n, '-');
         return n;
     });
@@ -136,7 +136,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(TxBObject, ObjectChecksumsVerifyAfterCommits)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::TxBObjectCsums);
+    MemorySystem mem(test::smallConfig(),
+                     designOf(DesignKind::TxBObjectCsums));
     DaxFs fs(mem);
     auto scheme = mem.designObj().makeScheme(mem);
     PmemPool pool(mem, fs, "p", 2ull << 20, scheme.get(), 2);
@@ -167,7 +168,7 @@ TEST(TxBObject, ObjectChecksumsVerifyAfterCommits)
 
 TEST(TxBPage, PageChecksumsVerifyAfterCommits)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::TxBPageCsums);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::TxBPageCsums));
     DaxFs fs(mem);
     auto scheme = mem.designObj().makeScheme(mem);
     PmemPool pool(mem, fs, "p", 2ull << 20, scheme.get(), 2);
@@ -189,7 +190,7 @@ TEST(TxBSchemes, ParityMaintainedByRecomputation)
 {
     for (DesignKind d :
          {DesignKind::TxBObjectCsums, DesignKind::TxBPageCsums}) {
-        MemorySystem mem(test::smallConfig(), d);
+        MemorySystem mem(test::smallConfig(), designOf(d));
         DaxFs fs(mem);
         auto scheme = mem.designObj().makeScheme(mem);
         PmemPool pool(mem, fs, "p", 2ull << 20, scheme.get(), 2);
@@ -201,7 +202,7 @@ TEST(TxBSchemes, ParityMaintainedByRecomputation)
             pool.txCommit(i % 2);
         }
         mem.flushAll();
-        EXPECT_EQ(fs.verifyParity(), 0u) << designName(d);
+        EXPECT_EQ(fs.verifyParity(), 0u) << designOf(d).displayName();
     }
 }
 
@@ -211,7 +212,7 @@ TEST(TxBSchemes, CommitCostOrdering)
     // checksums force whole-page reads at commit, so TxB-Page must
     // issue more cache accesses than TxB-Object for small writes.
     auto commits = [](DesignKind d) {
-        MemorySystem mem(test::smallConfig(), d);
+        MemorySystem mem(test::smallConfig(), designOf(d));
         DaxFs fs(mem);
         auto scheme = mem.designObj().makeScheme(mem);
         PmemPool pool(mem, fs, "p", 2ull << 20, scheme.get(), 2);

@@ -23,7 +23,7 @@ class PrefetchTest : public ::testing::Test
 {
   protected:
     PrefetchTest()
-        : mem(test::smallConfig(), DesignKind::Baseline), fs(mem)
+        : mem(test::smallConfig(), designOf(DesignKind::Baseline)), fs(mem)
     {
         fd = fs.create("f", kFilePages * kPageBytes);
         base = fs.daxMap(fd);
@@ -86,7 +86,7 @@ TEST_F(PrefetchTest, DisabledByConfig)
 {
     SimConfig cfg = test::smallConfig();
     cfg.prefetchDegree = 0;
-    MemorySystem m2(cfg, DesignKind::Baseline);
+    MemorySystem m2(cfg, designOf(DesignKind::Baseline));
     DaxFs fs2(m2);
     Addr b2 = fs2.daxMap(fs2.create("g", 16 * kPageBytes));
     m2.stats().reset();

@@ -27,7 +27,7 @@ class ShadowOracle : public ::testing::TestWithParam<DesignKind>
 
 TEST_P(ShadowOracle, RandomAccessSequencesMatchReference)
 {
-    MemorySystem mem(test::smallConfig(), GetParam());
+    MemorySystem mem(test::smallConfig(), designOf(GetParam()));
     DaxFs fs(mem);
     const std::size_t bytes = 32 * kPageBytes;
     int fd = fs.create("oracle", bytes);
@@ -74,7 +74,7 @@ INSTANTIATE_TEST_SUITE_P(
                       DesignKind::TxBObjectCsums,
                       DesignKind::TxBPageCsums),
     [](const auto &info) {
-        std::string n = designName(info.param);
+        std::string n = designOf(info.param).displayName();
         std::erase(n, '-');
         return n;
     });
@@ -118,7 +118,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(MapUnmapProperty, RepeatedCyclesPreserveDataAndCoverage)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Tvarak);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Tvarak));
     DaxFs fs(mem);
     constexpr std::size_t kFilePages = 8;
     const std::size_t bytes = kFilePages * kPageBytes;
@@ -161,7 +161,7 @@ TEST(MapUnmapProperty, RepeatedCyclesPreserveDataAndCoverage)
 
 TEST(PoolProperty, TransactionAbortsNeverLeak)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Tvarak);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Tvarak));
     DaxFs fs(mem);
     PmemPool pool(mem, fs, "p", 2ull << 20, nullptr, 1);
     Rng rng(77);

@@ -21,7 +21,7 @@ class RedisTest : public ::testing::Test
 {
   protected:
     RedisTest()
-        : mem(test::smallConfig(), DesignKind::Tvarak),
+        : mem(test::smallConfig(), designOf(DesignKind::Tvarak)),
           fs(mem),
           pool(mem, fs, "redis", 8ull << 20, nullptr, 1),
           store(mem, pool, 8, 8)  // tiny table: rehash early and often
@@ -195,7 +195,7 @@ TEST_F(RedisTest, TvarakInvariantsAfterChurn)
 
 TEST(RedisWorkloadDriver, RunsToCompletion)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     RedisWorkload::Params p;
     p.mode = RedisWorkload::Mode::SetOnly;

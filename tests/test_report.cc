@@ -13,16 +13,22 @@
 #include <vector>
 
 #include "harness/report.hh"
+#include "redundancy/registry.hh"
 
 namespace tvarak {
 namespace {
 
+const Design &kBaseline = designOf(DesignKind::Baseline);
+const Design &kTvarak = designOf(DesignKind::Tvarak);
+const Design &kTxBObject = designOf(DesignKind::TxBObjectCsums);
+const Design &kTxBPage = designOf(DesignKind::TxBPageCsums);
+
 RunResult
-makeResult(DesignKind d, Cycles cycles, double energyMj,
+makeResult(const Design &d, Cycles cycles, double energyMj,
            std::uint64_t data, std::uint64_t red, std::uint64_t cache)
 {
     RunResult r;
-    r.design = d;
+    r.design = &d;
     r.runtimeCycles = cycles;
     r.energyMj = energyMj;
     r.nvmDataAccesses = data;
@@ -37,31 +43,24 @@ sampleRows()
 {
     FigureRow alpha;
     alpha.workload = "alpha";
-    alpha.results[DesignKind::Baseline] =
-        makeResult(DesignKind::Baseline, 1000, 1.0, 100, 0, 1000);
-    alpha.results[DesignKind::Tvarak] =
-        makeResult(DesignKind::Tvarak, 1250, 1.5, 100, 50, 1200);
-    alpha.results[DesignKind::TxBObjectCsums] =
-        makeResult(DesignKind::TxBObjectCsums, 1500, 2.0, 100, 100,
-                   1400);
-    alpha.results[DesignKind::TxBPageCsums] =
-        makeResult(DesignKind::TxBPageCsums, 2000, 4.0, 100, 300, 1600);
+    alpha.add(makeResult(kBaseline, 1000, 1.0, 100, 0, 1000));
+    alpha.add(makeResult(kTvarak, 1250, 1.5, 100, 50, 1200));
+    alpha.add(makeResult(kTxBObject, 1500, 2.0, 100, 100, 1400));
+    alpha.add(makeResult(kTxBPage, 2000, 4.0, 100, 300, 1600));
 
     FigureRow beta;
     beta.workload = "beta";
-    beta.results[DesignKind::Baseline] =
-        makeResult(DesignKind::Baseline, 500, 0.5, 40, 0, 800);
-    beta.results[DesignKind::Tvarak] =
-        makeResult(DesignKind::Tvarak, 600, 0.8, 40, 10, 880);
+    beta.add(makeResult(kBaseline, 500, 0.5, 40, 0, 800));
+    beta.add(makeResult(kTvarak, 600, 0.8, 40, 10, 880));
     return {alpha, beta};
 }
 
 TEST(Report, NormRuntime)
 {
     auto rows = sampleRows();
-    EXPECT_DOUBLE_EQ(normRuntime(rows[0], DesignKind::Baseline), 1.0);
-    EXPECT_DOUBLE_EQ(normRuntime(rows[0], DesignKind::Tvarak), 1.25);
-    EXPECT_DOUBLE_EQ(normRuntime(rows[1], DesignKind::Tvarak), 1.2);
+    EXPECT_DOUBLE_EQ(normRuntime(rows[0], kBaseline), 1.0);
+    EXPECT_DOUBLE_EQ(normRuntime(rows[0], kTvarak), 1.25);
+    EXPECT_DOUBLE_EQ(normRuntime(rows[1], kTvarak), 1.2);
 }
 
 TEST(Report, FigureGroupGolden)
@@ -110,7 +109,10 @@ TEST(Report, FigureGroupGolden)
 TEST(Report, ResilienceSectionGolden)
 {
     auto rows = sampleRows();
-    Stats &tv = rows[0].results[DesignKind::Tvarak].stats;
+    // Column order: Baseline, then Tvarak.
+    ASSERT_EQ(rows[0].results[1].design, &kTvarak);
+    ASSERT_EQ(rows[1].results[1].design, &kTvarak);
+    Stats &tv = rows[0].results[1].stats;
     tv.corruptionsDetected = 3;
     tv.recoveries = 3;
     tv.degradedReads = 19390;
@@ -121,7 +123,7 @@ TEST(Report, ResilienceSectionGolden)
     tv.rebuildRestarts = 2;
     tv.scrubLines = 4096;
     tv.scrubRepairs = 1;
-    Stats &pg = rows[1].results[DesignKind::Tvarak].stats;
+    Stats &pg = rows[1].results[1].stats;
     pg.scrubLines = 128;
 
     testing::internal::CaptureStdout();
@@ -160,6 +162,46 @@ csv,fig_x,alpha,TxB-Object-Csums,1500,1.5000,2.0000,100,100,1400
 csv,fig_x,alpha,TxB-Page-Csums,2000,2.0000,4.0000,100,300,1600
 csv,fig_x,beta,Baseline,500,1.0000,0.5000,40,0,800
 csv,fig_x,beta,Tvarak,600,1.2000,0.8000,40,10,880
+)";
+    EXPECT_EQ(out, golden);
+}
+
+/**
+ * A Fig-9 variant measured next to plain TVARAK keeps its own column
+ * and csv line under its own name, in registry order after the paper
+ * four, whatever order the runs were added in.
+ */
+TEST(Report, VariantGetsItsOwnColumn)
+{
+    const Design &naive = *findDesign("tvarak-naive");
+    FigureRow row;
+    row.workload = "gamma";
+    row.add(makeResult(naive, 4000, 3.0, 100, 400, 2000));
+    row.add(makeResult(kTvarak, 1100, 1.2, 100, 20, 1100));
+    row.add(makeResult(kBaseline, 1000, 1.0, 100, 0, 1000));
+    ASSERT_EQ(row.results.size(), 3u);
+    EXPECT_EQ(row.find(naive)->runtimeCycles, 4000u);
+    EXPECT_EQ(row.find(kTvarak)->runtimeCycles, 1100u);
+    EXPECT_EQ(row.find(kTxBPage), nullptr);
+
+    testing::internal::CaptureStdout();
+    printFigureGroup("Fig V: variants", {row});
+    std::string out = testing::internal::GetCapturedStdout();
+    const std::string runtimePanel = R"(
+  Runtime (normalized to Baseline)
+  workload                             Baseline             Tvarak   TxB-Object-Csums     TxB-Page-Csums       Tvarak-Naive
+  gamma                                   1.000              1.100                  -                  -              4.000
+)";
+    EXPECT_NE(out.find(runtimePanel), std::string::npos) << out;
+
+    testing::internal::CaptureStdout();
+    printFigureCsv("fig_v", {row});
+    out = testing::internal::GetCapturedStdout();
+    const std::string golden = R"(
+csv,fig_v,workload,design,runtime_cycles,norm_runtime,energy_mj,nvm_data,nvm_red,cache_accesses
+csv,fig_v,gamma,Baseline,1000,1.0000,1.0000,100,0,1000
+csv,fig_v,gamma,Tvarak,1100,1.1000,1.2000,100,20,1100
+csv,fig_v,gamma,Tvarak-Naive,4000,4.0000,3.0000,100,400,2000
 )";
     EXPECT_EQ(out, golden);
 }

@@ -83,7 +83,7 @@ TEST(Arrival, BurstyPreservesLongRunRate)
     // intra-burst spacing, far below the mean.
     Cycles shortest = *std::min_element(g.begin(), g.end());
     EXPECT_LE(shortest, static_cast<Cycles>(
-                  p.burstGapFactor * p.meanGapCycles) + 1);
+                  kBurstGapFactor * p.meanGapCycles) + 1);
 }
 
 TEST(Arrival, ClosedLoopLimitIsUnitGap)

@@ -79,21 +79,21 @@ expectReplayEquivalence(const WorkloadFactory &make, const char *label)
 {
     SimConfig cfg = test::smallConfig();
     trace::RecordResult rec = trace::recordExperiment(
-        cfg, DesignKind::Baseline, make, label);
+        cfg, designOf(DesignKind::Baseline), make, label);
     ASSERT_NE(rec.trace, nullptr);
     EXPECT_GT(rec.trace->eventCount, 0u);
 
     // The recording run is itself an undisturbed Baseline run.
     RunResult directBase =
-        runExperiment(cfg, DesignKind::Baseline, make);
+        runExperiment(cfg, designOf(DesignKind::Baseline), make);
     EXPECT_EQ(statsDiff(rec.result.stats, directBase.stats), "")
         << label << ": recording perturbed the recorded run";
 
-    for (DesignKind d : allDesigns()) {
-        RunResult direct = runExperiment(cfg, d, make);
-        RunResult replayed = trace::replayExperiment(rec.trace, d);
+    for (const Design *d : paperDesigns()) {
+        RunResult direct = runExperiment(cfg, *d, make);
+        RunResult replayed = trace::replayExperiment(rec.trace, *d);
         EXPECT_EQ(statsDiff(direct.stats, replayed.stats), "")
-            << label << " under " << designName(d);
+            << label << " under " << d->displayName();
         EXPECT_EQ(direct.runtimeCycles, replayed.runtimeCycles);
     }
 }
@@ -206,7 +206,8 @@ TEST(Trace, SaveLoadRoundTrip)
     const char *path = "test_trace_roundtrip.trace";
     SimConfig cfg = test::smallConfig();
     trace::RecordResult rec = trace::recordExperiment(
-        cfg, DesignKind::Baseline, streamFactory(), "stream-triad");
+        cfg, designOf(DesignKind::Baseline), streamFactory(),
+        "stream-triad");
     ASSERT_NE(rec.trace, nullptr);
     ASSERT_TRUE(rec.trace->save(path));
 
@@ -221,8 +222,9 @@ TEST(Trace, SaveLoadRoundTrip)
     EXPECT_EQ(loaded->records, rec.trace->records);
 
     // A loaded trace replays like the in-memory one.
-    RunResult a = trace::replayExperiment(rec.trace, DesignKind::Tvarak);
-    RunResult b = trace::replayExperiment(loaded, DesignKind::Tvarak);
+    const Design &tvarak = designOf(DesignKind::Tvarak);
+    RunResult a = trace::replayExperiment(rec.trace, tvarak);
+    RunResult b = trace::replayExperiment(loaded, tvarak);
     EXPECT_EQ(statsDiff(a.stats, b.stats), "");
     std::remove(path);
 }

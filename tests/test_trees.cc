@@ -25,7 +25,7 @@ class MapTest : public ::testing::TestWithParam<MapKind>
     void SetUp() override
     {
         mem = std::make_unique<MemorySystem>(test::smallConfig(),
-                                             DesignKind::Tvarak);
+                                             designOf(DesignKind::Tvarak));
         fs = std::make_unique<DaxFs>(*mem);
         pool = std::make_unique<PmemPool>(*mem, *fs, "p", 4ull << 20,
                                           nullptr, 1);
@@ -224,7 +224,7 @@ TEST_P(MapTest, EraseKeepsRedundancyInvariants)
 
 TEST(RBTree, InvariantsHoldDuringErase)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     PmemPool pool(mem, fs, "p", 4ull << 20, nullptr, 1);
     RBTreeMap tree(mem, pool, 64);
@@ -247,7 +247,7 @@ TEST(RBTree, InvariantsHoldDuringErase)
 
 TEST(RBTree, InvariantsHoldDuringInserts)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     PmemPool pool(mem, fs, "p", 4ull << 20, nullptr, 1);
     RBTreeMap tree(mem, pool, 64);

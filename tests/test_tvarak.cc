@@ -318,7 +318,7 @@ TEST_F(TvarakFaults, RecoveryUnderNaivePageChecksums)
 TEST(TvarakArea, DedicatedAreaMatchesPaper)
 {
     SimConfig cfg;  // full Table III machine
-    MemorySystem mem(cfg, DesignKind::Tvarak);
+    MemorySystem mem(cfg, designOf(DesignKind::Tvarak));
     double fraction =
         static_cast<double>(
             mem.tvarak().dedicatedBytesPerController()) /

@@ -24,7 +24,7 @@ struct VilambRig {
     PmemPool pool;
 
     explicit VilambRig(std::size_t epoch)
-        : mem(test::smallConfig(), DesignKind::TxBPageCsums),
+        : mem(test::smallConfig(), designOf(DesignKind::TxBPageCsums)),
           fs(mem),
           scheme(mem, epoch),
           pool(mem, fs, "p", 2ull << 20, &scheme, 1)

@@ -24,7 +24,7 @@ class FioPatterns
 
 TEST_P(FioPatterns, TouchesEveryLineExactlyOnce)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     FioWorkload::Params p;
     p.pattern = GetParam();
@@ -67,7 +67,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(Stream, TriadComputesRealValues)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     StreamWorkload::Params p;
     p.kernel = StreamWorkload::Kernel::Triad;
@@ -88,7 +88,7 @@ TEST(Stream, TriadComputesRealValues)
 
 TEST(Stream, CopyMovesBytes)
 {
-    MemorySystem mem(test::smallConfig(), DesignKind::Baseline);
+    MemorySystem mem(test::smallConfig(), designOf(DesignKind::Baseline));
     DaxFs fs(mem);
     StreamWorkload::Params p;
     p.kernel = StreamWorkload::Kernel::Copy;
@@ -110,7 +110,7 @@ TEST(StreamUnderSchemes, InvariantsHoldForEveryDesign)
     for (DesignKind d :
          {DesignKind::Tvarak, DesignKind::TxBObjectCsums,
           DesignKind::TxBPageCsums}) {
-        MemorySystem mem(test::smallConfig(), d);
+        MemorySystem mem(test::smallConfig(), designOf(d));
         DaxFs fs(mem);
         auto scheme = mem.designObj().makeScheme(mem);
         StreamWorkload::Params p;
@@ -120,7 +120,7 @@ TEST(StreamUnderSchemes, InvariantsHoldForEveryDesign)
         w.setup();
         while (w.step()) {}
         mem.flushAll();
-        EXPECT_EQ(fs.verifyParity(), 0u) << designName(d);
+        EXPECT_EQ(fs.verifyParity(), 0u) << designOf(d).displayName();
     }
 }
 
@@ -146,9 +146,9 @@ TEST(Runner, FixedWorkAcrossDesigns)
 
     SimConfig cfg = test::smallConfig();
     std::vector<std::uint64_t> digests;
-    for (DesignKind d : allDesigns()) {
-        RunResult r = runExperiment(cfg, d, factory);
-        EXPECT_GT(r.runtimeCycles, 0u) << designName(d);
+    for (const Design *d : paperDesigns()) {
+        RunResult r = runExperiment(cfg, *d, factory);
+        EXPECT_GT(r.runtimeCycles, 0u) << d->displayName();
         EXPECT_GT(r.stats.l1Accesses, 0u);
         digests.push_back(r.stats.l1Accesses -
                           r.stats.swChecksumBytes * 0);
@@ -179,12 +179,13 @@ TEST(Runner, TvarakNeverSlowerThanTxBForWrites)
     };
     SimConfig cfg = test::smallConfig();
     Cycles tvarak =
-        runExperiment(cfg, DesignKind::Tvarak, factory).runtimeCycles;
+        runExperiment(cfg, designOf(DesignKind::Tvarak), factory)
+            .runtimeCycles;
     Cycles txb_o =
-        runExperiment(cfg, DesignKind::TxBObjectCsums, factory)
+        runExperiment(cfg, designOf(DesignKind::TxBObjectCsums), factory)
             .runtimeCycles;
     Cycles txb_p =
-        runExperiment(cfg, DesignKind::TxBPageCsums, factory)
+        runExperiment(cfg, designOf(DesignKind::TxBPageCsums), factory)
             .runtimeCycles;
     EXPECT_LT(tvarak, txb_o);
     EXPECT_LT(txb_o, txb_p);

@@ -44,6 +44,8 @@
  * order), so campaigns can be diffed and pinned in CI.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstring>
@@ -160,15 +162,32 @@ parseArgs(const std::vector<std::string> &raw,
     return parseArgs(raw, valueFlags, {}, out);
 }
 
+/** Strict decimal: signs, garbage and overflow (and zero unless
+ *  @p allowZero) are usage errors (exit 2). */
 std::uint64_t
 parseU64(const std::string &s, bool allowZero)
 {
+    errno = 0;
     char *end = nullptr;
     unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    fatal_if(s.empty() || end == nullptr || *end != '\0' ||
-                 (!allowZero && v == 0),
-             "bad number '%s'", s.c_str());
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])) ||
+        *end != '\0' || errno == ERANGE || (!allowZero && v == 0)) {
+        std::fprintf(stderr, "tvarak-fault: bad number '%s'\n",
+                     s.c_str());
+        std::exit(2);
+    }
     return v;
+}
+
+/** --ops below @p floor is a usage error (exit 2). */
+void
+requireOps(std::size_t ops, std::size_t floor)
+{
+    if (ops < floor) {
+        std::fprintf(stderr, "tvarak-fault: --ops must be at least %zu\n",
+                     floor);
+        std::exit(2);
+    }
 }
 
 const Design &
@@ -1044,7 +1063,7 @@ cmdMap(const std::vector<std::string> &raw)
     std::size_t keys = static_cast<std::size_t>(flagOr("--keys", 96));
     std::size_t events =
         static_cast<std::size_t>(flagOr("--events", 5));
-    fatal_if(ops < 24, "--ops must be at least 24");
+    requireOps(ops, 24);
 
     inform("map campaign: %s, seed %llu, %zu ops, %zu events",
            design.displayName(), static_cast<unsigned long long>(seed),
@@ -1725,7 +1744,7 @@ cmdMulti(const std::vector<std::string> &raw)
     };
     std::size_t ops = static_cast<std::size_t>(flagOr("--ops", 240));
     std::size_t keys = static_cast<std::size_t>(flagOr("--keys", 96));
-    fatal_if(ops < 48, "--ops must be at least 48");
+    requireOps(ops, 48);
     bool refail = a.flags.count("--refail") != 0;
 
     // The DIMM count the schedule runs against is whatever geometry

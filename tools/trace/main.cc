@@ -21,6 +21,8 @@
  * cache; unique lines pay NVM and redundancy costs).
  */
 
+#include <cctype>
+#include <cerrno>
 #include <cstdlib>
 #include <cstring>
 #include <string>
@@ -111,13 +113,19 @@ parseArgs(const std::vector<std::string> &raw,
     return true;
 }
 
+/** Strict positive decimal: signs, garbage, zero and overflow are
+ *  usage errors (exit 2). */
 std::size_t
 parseCount(const std::string &s)
 {
+    errno = 0;
     char *end = nullptr;
     unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-    fatal_if(s.empty() || end == nullptr || *end != '\0' || v == 0,
-             "bad count '%s'", s.c_str());
+    if (s.empty() || !std::isdigit(static_cast<unsigned char>(s[0])) ||
+        *end != '\0' || errno == ERANGE || v == 0) {
+        std::fprintf(stderr, "tvarak-trace: bad count '%s'\n", s.c_str());
+        std::exit(2);
+    }
     return static_cast<std::size_t>(v);
 }
 
@@ -224,7 +232,7 @@ loadOrDie(const std::string &path)
 void
 printRunResult(const RunResult &r)
 {
-    std::printf("  design           %s\n", designName(r.design));
+    std::printf("  design           %s\n", r.design->displayName());
     std::printf("  runtime          %llu cycles (%.3f ms)\n",
                 static_cast<unsigned long long>(r.runtimeCycles),
                 r.runtimeMs);
@@ -277,7 +285,8 @@ cmdInfo(const std::vector<std::string> &raw)
     auto t = loadOrDie(a.positional[0]);
     std::printf("trace            %s\n", a.positional[0].c_str());
     std::printf("format version   %u\n", t->version);
-    std::printf("recorded design  %s\n", designName(t->recordedDesign));
+    std::printf("recorded design  %s\n",
+                designOf(t->recordedDesign).displayName());
     std::printf("config fp        %016llx\n",
                 static_cast<unsigned long long>(t->configFingerprint));
     std::printf("workload         %s\n", t->workloadName.c_str());
