@@ -27,18 +27,28 @@ namespace {
  *  exported parse*Value helpers (called from ExtraFlag::apply during
  *  parseBenchArgs) can print a full usage message. */
 std::string gProg = "bench";
+std::string gSweepUsage;
 std::string gExtraUsage;
+
+/** The usage text of the sweep flags @p sweep accepts. */
+std::string
+sweepUsage(SweepFlags sweep)
+{
+    std::string u;
+    if (sweep != SweepFlags::None)
+        u += " [--design NAME]...";
+    if (sweep == SweepFlags::DesignsAndTraces)
+        u += " [--trace-record F | --trace-replay F]";
+    return u;
+}
 
 [[noreturn]] void
 usageError(const char *prog, const char *msg, const char *arg)
 {
     std::fprintf(stderr, "%s: %s%s%s\n", prog, msg, arg ? ": " : "",
                  arg ? arg : "");
-    std::fprintf(stderr,
-                 "usage: %s [--scale N] [--jobs N] [--json]"
-                 " [--design NAME]..."
-                 " [--trace-record F | --trace-replay F]%s\n",
-                 prog, gExtraUsage.c_str());
+    std::fprintf(stderr, "usage: %s [--scale N] [--jobs N] [--json]%s%s\n",
+                 prog, gSweepUsage.c_str(), gExtraUsage.c_str());
     std::exit(2);
 }
 
@@ -122,11 +132,12 @@ benchUsageError(const std::string &msg)
 
 BenchArgs
 parseBenchArgs(int argc, char **argv, const char *what,
-               const char *benchName)
+               const char *benchName, SweepFlags sweep)
 {
     BenchArgsSpec spec;
     spec.what = what;
     spec.benchName = benchName;
+    spec.sweep = sweep;
     return parseBenchArgs(argc, argv, spec);
 }
 
@@ -134,6 +145,7 @@ BenchArgs
 parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
 {
     gProg = argv[0];
+    gSweepUsage = sweepUsage(spec.sweep);
     gExtraUsage.clear();
     for (const ExtraFlag &x : spec.extras) {
         gExtraUsage += std::string(" [") + x.flag;
@@ -143,6 +155,8 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
     }
     const char *what = spec.what;
     const char *benchName = spec.benchName;
+    const bool designs = spec.sweep != SweepFlags::None;
+    const bool traces = spec.sweep == SweepFlags::DesignsAndTraces;
 
     BenchArgs args;
     args.benchName = benchName;
@@ -175,6 +189,15 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
             args.jobs = parseCount(argv[0], "--jobs", argv[++i]);
         } else if (std::strcmp(argv[i], "--json") == 0) {
             args.json = true;
+        } else if (!traces && (matchesFlag(argv[i], "--trace-record") ||
+                               matchesFlag(argv[i], "--trace-replay"))) {
+            usageError(argv[0],
+                       "this bench does not record or replay traces",
+                       nullptr);
+        } else if (!designs && matchesFlag(argv[i], "--design")) {
+            usageError(argv[0],
+                       "--design: this bench runs a fixed design set",
+                       nullptr);
         } else if (matchesFlag(argv[i], "--trace-record")) {
             args.traceRecord =
                 flagValue(argv[0], "--trace-record", argc, argv, i);
@@ -200,21 +223,25 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
             args.designs.push_back(d);
         } else if (std::strcmp(argv[i], "--help") == 0) {
             std::printf("%s\nusage: %s [--scale N] [--jobs N] [--json]"
-                        " [--design NAME]..."
-                        " [--trace-record F | --trace-replay F]%s\n"
+                        "%s%s\n"
                         "  --scale N  workload size multiplier "
                         "(default 1)\n"
                         "  --jobs N   experiment worker threads "
                         "(default: hardware concurrency)\n"
-                        "  --json     write results/bench_%s.json\n"
-                        "  --design NAME  sweep only the named design "
-                        "(repeatable; registered: %s)\n"
-                        "  --trace-record F  record once under Baseline "
-                        "into F, replay the other designs\n"
-                        "  --trace-replay F  replay every design from a "
-                        "previously recorded F\n",
-                        what, argv[0], gExtraUsage.c_str(), benchName,
-                        registeredNameList().c_str());
+                        "  --json     write results/bench_%s.json\n",
+                        what, argv[0], gSweepUsage.c_str(),
+                        gExtraUsage.c_str(), benchName);
+            if (designs) {
+                std::printf("  --design NAME  sweep only the named design "
+                            "(repeatable; registered: %s)\n",
+                            registeredNameList().c_str());
+            }
+            if (traces) {
+                std::printf("  --trace-record F  record once under "
+                            "Baseline into F, replay the other designs\n"
+                            "  --trace-replay F  replay every design from "
+                            "a previously recorded F\n");
+            }
             for (const ExtraFlag &x : spec.extras) {
                 std::string head = x.flag;
                 if (x.valueName != nullptr)
@@ -239,21 +266,6 @@ parseBenchArgs(int argc, char **argv, const BenchArgsSpec &spec)
         args.designs.insert(args.designs.begin(), baseline);
     }
     return args;
-}
-
-void
-rejectTraceFlags(const BenchArgs &args)
-{
-    if (!args.traceRecord.empty() || !args.traceReplay.empty())
-        benchUsageError("this bench does not record or replay traces");
-}
-
-void
-rejectSweepFlags(const BenchArgs &args)
-{
-    rejectTraceFlags(args);
-    if (!args.designs.empty())
-        benchUsageError("--design: this bench runs a fixed design set");
 }
 
 std::vector<const Design *>

@@ -33,9 +33,10 @@
  *                      tvarak) each get their own column and entry.
  *
  * Benches with a fixed design set (Fig 9, Fig 10, Vilamb, Table III)
- * reject --design and the trace flags (rejectSweepFlags);
- * bench_service sweeps --design but rejects the trace flags
- * (rejectTraceFlags).
+ * accept neither --design nor the trace flags (SweepFlags::None);
+ * bench_service sweeps --design but takes no trace flags
+ * (SweepFlags::Designs). Usage and --help list only the flags the
+ * bench accepts.
  *
  * Unknown flags and malformed values are usage errors (exit 2) — a
  * typo must never silently run the wrong experiment.
@@ -78,14 +79,23 @@ struct BenchArgs {
     std::chrono::steady_clock::time_point start;
 };
 
+/** The sweep flag groups a bench accepts. */
+enum class SweepFlags {
+    DesignsAndTraces,  //!< --design and --trace-record/--trace-replay
+    Designs,           //!< --design only
+    None,              //!< a fixed design set, run directly
+};
+
 /**
- * Parse `--scale N`, `--jobs N`, `--json` and `--help`. @p what is
- * the one-line description printed by --help; @p benchName names the
- * JSON output file. Rejects unknown arguments and malformed or
- * out-of-range values with a usage message and exit(2).
+ * Parse `--scale N`, `--jobs N`, `--json`, `--help` and the sweep
+ * flags @p sweep allows. @p what is the one-line description printed
+ * by --help; @p benchName names the JSON output file. Rejects unknown
+ * or disallowed arguments and malformed or out-of-range values with a
+ * usage message and exit(2).
  */
 BenchArgs parseBenchArgs(int argc, char **argv, const char *what,
-                         const char *benchName);
+                         const char *benchName,
+                         SweepFlags sweep = SweepFlags::DesignsAndTraces);
 
 /**
  * A bench-specific flag handled inside parseBenchArgs, so extended
@@ -106,6 +116,7 @@ struct ExtraFlag {
 struct BenchArgsSpec {
     const char *what = "";
     const char *benchName = "";
+    SweepFlags sweep = SweepFlags::DesignsAndTraces;
     std::vector<ExtraFlag> extras;
 };
 
@@ -124,13 +135,6 @@ double parseFracValue(const char *flag, const std::string &value);
 /** Print "<prog>: <msg>" + usage and exit(2). */
 [[noreturn]] void benchUsageError(const std::string &msg);
 /**@}*/
-
-/** Usage error (exit 2) if --trace-record or --trace-replay was
- *  given: for benches that only run directly. */
-void rejectTraceFlags(const BenchArgs &args);
-/** rejectTraceFlags, and a usage error on --design too: for benches
- *  whose design set is fixed. */
-void rejectSweepFlags(const BenchArgs &args);
 
 /** One workload of a figure: a label, the machine it runs on, and its
  *  factory. sweepRows() fans specs x designs in a single batch. */

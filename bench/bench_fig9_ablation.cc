@@ -27,8 +27,7 @@ main(int argc, char **argv)
 {
     BenchArgs args = parseBenchArgs(
         argc, argv, "Fig 9: TVARAK design-choice ablation",
-        "fig9_ablation");
-    rejectSweepFlags(args);
+        "fig9_ablation", SweepFlags::None);
 
     // The cumulative ablation points are registered design variants
     // (each owns its TvarakLadder point); the classic Fig-9 column

@@ -186,6 +186,7 @@ main(int argc, char **argv)
     spec.what = "Open-loop service front-end: latency vs offered load "
         "per design";
     spec.benchName = "service";
+    spec.sweep = SweepFlags::Designs;
     spec.extras = {
         {"--workload", "NAME", workloadHelp.c_str(),
          [&svc](const std::string &v) {
@@ -223,7 +224,6 @@ main(int argc, char **argv)
          [&failDimmsSpec](const std::string &v) { failDimmsSpec = v; }},
     };
     BenchArgs args = parseBenchArgs(argc, argv, spec);
-    rejectTraceFlags(args);
     svc.scale = args.scale;
 
     std::vector<std::size_t> faultDimms;

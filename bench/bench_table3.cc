@@ -37,8 +37,8 @@ ladderName(TvarakLadder point)
 int
 main(int argc, char **argv)
 {
-    rejectSweepFlags(parseBenchArgs(
-        argc, argv, "Table III: simulation parameters", "table3"));
+    parseBenchArgs(argc, argv, "Table III: simulation parameters",
+                   "table3", SweepFlags::None);
     SimConfig cfg;  // unscaled Table III machine
 
     std::printf("== Table III: simulation parameters ==\n");

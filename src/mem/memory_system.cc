@@ -59,6 +59,7 @@ MemorySystem::MemorySystem(const SimConfig &cfg, const Design &design)
         llc_.emplace_back("llc-" + std::to_string(b), llc_sets,
                           llcDataWays_, cfg_.llcBanks);
     }
+    stripePages_.reserve(layout_.dataCount());
     std::size_t vpages = layout_.allocatableDataPages();
     daxPageTable_.assign(vpages, kUnmapped);
     lastMissLine_.assign(cfg_.cores, ~std::uint64_t{0});
@@ -339,6 +340,13 @@ MemorySystem::accessLine(int tid, Addr vaddr, std::size_t offset,
     // modulo on every single access.
     std::uint8_t *cur = funcPtr(t.paddr, t.isNvm);
     if (isWrite) {
+        // No page mark (NvmArray::markPage) needed: the line was
+        // filled, and its fill marked the page, since the last
+        // dropCaches emptied every cache. The store also dirties the
+        // line, so dropCaches' flushAll writes it to media, which
+        // marks it again; a writeback dropped on a dead DIMM is
+        // re-derived by refreshDegradedCurrent while the DIMM is
+        // degraded, and replace() marks the whole DIMM after that.
         std::memcpy(cur + offset, buf, len);
         l1_line->dirty = true;
         // Stores drain through the store queue: only a fraction of
@@ -390,8 +398,10 @@ MemorySystem::llcEnsure(int core, Addr paddr, bool isNvm, bool isWrite,
                 lat += nvm_.access(g, false, media, isRedundancyAddr(g));
                 ctrl_->fillLine(bank, g, media);
             }
-            // The fill's view becomes the architectural value.
+            // The fill's view becomes the architectural value; it may
+            // differ from media (misdirected read, corrected fill).
             std::memcpy(funcPtr(paddr, true), media, kLineBytes);
+            nvm_.markPage(g);
         } else {
             stats_.dramReads++;
             stats_.dramEnergy += cfg_.dram.accessEnergy;
@@ -483,6 +493,7 @@ MemorySystem::prefetchLine(Addr paddr, bool isNvm)
             ctrl_->fillLine(bank, g, media);
         }
         std::memcpy(funcPtr(paddr, true), media, kLineBytes);
+        nvm_.markPage(g);
     } else {
         stats_.dramReads++;
         stats_.dramEnergy += cfg_.dram.accessEnergy;
@@ -599,6 +610,7 @@ MemorySystem::failDimm(std::size_t dimm)
         if (llc_[bankOf(paddr)].probe(paddr) == nullptr) {
             std::memset(funcPtr(paddr, true), NvmDimm::kPoisonByte,
                         kLineBytes);
+            nvm_.markPage(nvmGlobal(paddr));
         }
     }
 }
@@ -639,9 +651,8 @@ MemorySystem::stripeIsEngineWorld(Addr line)
 {
     if (!design_->engineCoversDaxData())
         return false;
-    std::vector<Addr> pages;
-    layout_.stripeDataPages(line, pages);
-    for (Addr p : pages) {
+    layout_.stripeDataPages(line, stripePages_);
+    for (Addr p : stripePages_) {
         if (engine_.isDaxData(p))
             return true;
     }
@@ -695,8 +706,10 @@ void
 MemorySystem::refreshCurIfUncached(Addr nvmAddr, const std::uint8_t *data)
 {
     Addr paddr = kNvmPhysBase + lineBase(nvmAddr);
-    if (llc_[bankOf(paddr)].probe(paddr) == nullptr)
+    if (llc_[bankOf(paddr)].probe(paddr) == nullptr) {
         std::memcpy(funcPtr(paddr, true), data, kLineBytes);
+        nvm_.markPage(nvmAddr);
+    }
 }
 
 void
@@ -724,6 +737,7 @@ MemorySystem::refreshDegradedCurrent()
             reconstructLine(g, buf, false);
             std::memcpy(funcPtr(kNvmPhysBase + g, true), buf,
                         kLineBytes);
+            nvm_.markPage(g);
         }
     }
 }
@@ -759,8 +773,9 @@ MemorySystem::dropCaches()
         c.reset();
     engine_.dropCleanState();
     // Re-sync the current-value store with the media so the cold
-    // state is exactly what fills will observe.
-    nvm_.rawRead(0, nvmCur_.data(), nvmCur_.size());
+    // state is exactly what fills will observe. Only marked pages can
+    // differ (see the dropCaches contract in the header).
+    nvm_.syncMarkedPages(nvmCur_.data());
     // A degraded DIMM's media reads as poison; re-derive whatever is
     // recoverable so cold fills observe the reconstructed values.
     if (nvm_.anyDegraded())
@@ -776,6 +791,7 @@ MemorySystem::refreshFromMedia(Addr vaddr, std::size_t len)
         std::size_t chunk =
             std::min(len, kPageBytes - pageOffset(vaddr));
         nvm_.rawRead(nvmGlobal(t.paddr), funcPtr(t.paddr, true), chunk);
+        nvm_.markPage(nvmGlobal(t.paddr));
         vaddr += chunk;
         len -= chunk;
     }

@@ -167,9 +167,22 @@ class MemorySystem final : private StripeView::Source
     /** Write back every dirty line everywhere (battery flush). */
     void flushAll();
 
-    /** flushAll() followed by dropping every (now clean) cached line
-     *  everywhere — models a cold restart. Subsequent reads re-fill
-     *  from the NVM media through the firmware. */
+    /**
+     * flushAll() followed by dropping every (now clean) cached line
+     * everywhere — models a cold restart. Subsequent reads re-fill
+     * from the NVM media through the firmware.
+     *
+     * The current-value store is then re-synced with the media: every
+     * non-degraded line equals its media bytes and every degraded
+     * line its reconstruction (refreshDegradedCurrent). Only pages
+     * marked since the previous sync can differ, so only those are
+     * copied and the cost is proportional to the pages written since
+     * the last drop, not to the media size. The rule that keeps this
+     * exact: any byte written to the media (NvmDimm marks it) or to
+     * the current-value store (this class calls NvmArray::markPage)
+     * marks its page. The one exception, plain stores, is argued at
+     * the store in accessLine.
+     */
     void dropCaches();
 
     /**
@@ -315,6 +328,7 @@ class MemorySystem final : private StripeView::Source
     HostBuffer dram_;    //!< DRAM current values (huge-page backed)
     HostBuffer nvmCur_;  //!< NVM current values (huge-page backed)
     std::vector<Addr> daxPageTable_;    //!< vpage -> NVM page | kUnmapped
+    std::vector<Addr> stripePages_;     //!< stripeIsEngineWorld scratch
     Addr dramBrk_;
     std::vector<std::uint64_t> lastMissLine_;  //!< per-core stride state
     trace::TraceSink *traceSink_ = nullptr;    //!< access-trace recorder

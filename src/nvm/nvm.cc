@@ -11,8 +11,13 @@
 
 namespace tvarak {
 
-NvmDimm::NvmDimm(std::size_t bytes)
-    : media_(bytes), ecc_(bytes / kLineBytes, 0)
+NvmDimm::NvmDimm(std::size_t bytes, PageMarks *marks, std::size_t slot,
+                 std::size_t slots)
+    : marks_(marks),
+      slot_(slot),
+      slots_(slots),
+      media_(bytes),
+      ecc_(bytes / kLineBytes, 0)
 {
     panic_if(bytes % kPageBytes != 0, "DIMM size must be page aligned");
     // ECC of the all-zero initial media: computed once, replicated.
@@ -36,6 +41,17 @@ NvmDimm::computeEcc(Addr lineAddr) const
     // verifies data-at-rest but is blind to firmware bugs.
     return static_cast<std::uint8_t>(
         crc32c(media_.data() + lineAddr, kLineBytes));
+}
+
+void
+NvmDimm::markMedia(Addr mediaAddr, std::size_t len)
+{
+    if (marks_ == nullptr || len == 0)
+        return;
+    for (std::uint64_t p = pageNumber(mediaAddr);
+         p <= pageNumber(mediaAddr + len - 1); p++) {
+        marks_->mark(p * slots_ + slot_);
+    }
 }
 
 void
@@ -64,6 +80,9 @@ NvmDimm::firmwareWrite(Addr mediaAddr, const void *buf)
     panic_if(failed_, "firmware write of a failed DIMM");
     panic_if(lineOffset(mediaAddr) != 0, "unaligned firmware write");
     checkAddr(mediaAddr, kLineBytes);
+    // The intended line is marked even when a bug keeps the data
+    // away from it: its current value is the one that was not stored.
+    markMedia(mediaAddr, kLineBytes);
     Addr dst = mediaAddr;
     auto it = writeBugs_.empty() ? writeBugs_.end()
                                  : writeBugs_.find(mediaAddr);
@@ -78,6 +97,7 @@ NvmDimm::firmwareWrite(Addr mediaAddr, const void *buf)
         }
         dst = bug.actual;
         checkAddr(dst, kLineBytes);
+        markMedia(dst, kLineBytes);
     }
     kernels::ops().copyLine(media_.data() + dst, buf);
     // The firmware updates the inline ECC atomically with the data; a
@@ -98,6 +118,7 @@ NvmDimm::rawWrite(Addr mediaAddr, const void *buf, std::size_t len)
     checkAddr(mediaAddr, len);
     if (failed_)
         return;  // writes to a dead device vanish
+    markMedia(mediaAddr, len);
     std::memcpy(media_.data() + mediaAddr, buf, len);
     for (Addr a = lineBase(mediaAddr); a < mediaAddr + len;
          a += kLineBytes) {
@@ -137,6 +158,7 @@ void
 NvmDimm::injectBitFlip(Addr mediaAddr, unsigned bit)
 {
     checkAddr(mediaAddr, 1);
+    markMedia(mediaAddr, 1);
     media_[mediaAddr] ^= static_cast<std::uint8_t>(1u << (bit % CHAR_BIT));
     // Deliberately no ECC update: this is a media error, which the
     // device ECC exists to catch.
@@ -157,6 +179,7 @@ NvmDimm::fail()
     // that wrongly consumes a dead line produces loudly wrong bytes
     // (which the system checksums then flag) rather than plausible
     // zeroes.
+    markMedia(0, media_.size());
     std::fill(media_.begin(), media_.end(), kPoisonByte);
     std::fill(ecc_.begin(), ecc_.end(), std::uint8_t{0});
     clearInjectedBugs();
@@ -167,6 +190,7 @@ NvmDimm::replace()
 {
     panic_if(!failed_, "replacing a healthy DIMM");
     failed_ = false;
+    markMedia(0, media_.size());
     std::fill(media_.begin(), media_.end(), std::uint8_t{0});
     std::uint8_t zero_ecc = computeEcc(0);
     std::fill(ecc_.begin(), ecc_.end(), zero_ecc);
@@ -174,10 +198,14 @@ NvmDimm::replace()
 
 NvmArray::NvmArray(const NvmParams &params, const SimConfig &cfg,
                    Stats &stats)
-    : params_(params), stats_(stats)
+    : params_(params),
+      stats_(stats),
+      marks_(params.dimms * params.dimmBytes / kPageBytes)
 {
-    for (std::size_t i = 0; i < params.dimms; i++)
-        dimms_.push_back(std::make_unique<NvmDimm>(params.dimmBytes));
+    for (std::size_t i = 0; i < params.dimms; i++) {
+        dimms_.push_back(std::make_unique<NvmDimm>(
+            params.dimmBytes, &marks_, i, params.dimms));
+    }
     state_.assign(dimms_.size(), DimmState::Healthy);
     watermark_.assign(dimms_.size(), 0);
     // Page-striping math runs on every raw/firmware access; when the
@@ -360,6 +388,15 @@ NvmArray::rawRead(Addr globalAddr, void *buf, std::size_t len) const
         out += chunk;
         len -= chunk;
     }
+}
+
+void
+NvmArray::syncMarkedPages(std::uint8_t *mirror)
+{
+    marks_.drain([&](std::uint64_t page) {
+        Addr g = page * kPageBytes;
+        dimms_[dimmOf(g)]->rawRead(mediaAddrOf(g), mirror + g, kPageBytes);
+    });
 }
 
 bool

@@ -25,6 +25,7 @@
 
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -38,11 +39,52 @@
 
 namespace tvarak {
 
+/**
+ * One bit per 4 KiB NVM-global page: the pages whose media or current
+ * value may have changed since the last current-value sync
+ * (MemorySystem::dropCaches). Every media mutator marks through the
+ * NvmDimm that owns the page; the memory system marks its own
+ * current-value writes (NvmArray::markPage).
+ */
+class PageMarks
+{
+  public:
+    explicit PageMarks(std::size_t pages)
+        : words_((pages + kWordBits - 1) / kWordBits)
+    {}
+
+    void mark(std::uint64_t page)
+    {
+        words_[page / kWordBits] |= std::uint64_t{1} << (page % kWordBits);
+    }
+
+    /** Call @p fn(page) for every marked page in ascending order and
+     *  clear the marks. */
+    template <typename Fn>
+    void
+    drain(Fn &&fn)
+    {
+        for (std::size_t w = 0; w < words_.size(); w++) {
+            std::uint64_t bits = words_[w];
+            words_[w] = 0;
+            for (; bits != 0; bits &= bits - 1)
+                fn(w * kWordBits + std::countr_zero(bits));
+        }
+    }
+
+  private:
+    static constexpr std::size_t kWordBits = 64;  //!< bits per word
+    std::vector<std::uint64_t> words_;
+};
+
 /** One NVM DIMM: media array + firmware with injectable bugs. */
 class NvmDimm
 {
   public:
-    explicit NvmDimm(std::size_t bytes);
+    /** A standalone device, or slot @p slot of @p slots page-striped
+     *  DIMMs whose media changes mark global pages in @p marks. */
+    explicit NvmDimm(std::size_t bytes, PageMarks *marks = nullptr,
+                     std::size_t slot = 0, std::size_t slots = 1);
 
     /** @name Firmware path (used by the memory system). Line granular.
      *  Addresses are media-local and line aligned. */
@@ -132,7 +174,12 @@ class NvmDimm
 
     void checkAddr(Addr mediaAddr, std::size_t len) const;
     std::uint8_t computeEcc(Addr lineAddr) const;
+    /** Mark the global pages backing media [@p mediaAddr, +@p len). */
+    void markMedia(Addr mediaAddr, std::size_t len);
 
+    PageMarks *marks_;
+    std::size_t slot_;
+    std::size_t slots_;
     HostBuffer media_;  //!< huge-page backed: hot random line reads
     std::vector<std::uint8_t> ecc_;  //!< one byte per line, inline model
     std::unordered_map<Addr, Bug> writeBugs_;
@@ -146,6 +193,8 @@ class NvmArray
 {
   public:
     NvmArray(const NvmParams &params, const SimConfig &cfg, Stats &stats);
+    NvmArray(const NvmArray &) = delete;  // DIMMs point at marks_
+    NvmArray &operator=(const NvmArray &) = delete;
 
     /**
      * Perform one line-granular access through the firmware.
@@ -251,6 +300,21 @@ class NvmArray
         dimms_[dimmOf(globalAddr)]->prefetch(mediaAddrOf(globalAddr));
     }
 
+    /** @name Current-value sync
+     *  Every media change marks its page (see PageMarks); the memory
+     *  system marks the pages of its own current-value writes. */
+    /**@{*/
+    /** Mark the page holding @p globalAddr. */
+    void markPage(Addr globalAddr)
+    {
+        marks_.mark(pageNumber(globalAddr));
+    }
+    /** Copy the media of every marked page into the same offset of
+     *  @p mirror (an image of the whole global space) and clear the
+     *  marks. */
+    void syncMarkedPages(std::uint8_t *mirror);
+    /**@}*/
+
     /** @name Image checkpointing
      *  Persist/restore the at-rest media (simulating NVM durability
      *  across simulator restarts). Only flushed state survives —
@@ -270,6 +334,7 @@ class NvmArray
 
     NvmParams params_;
     Stats &stats_;
+    PageMarks marks_;  //!< before dimms_, which point at it
     std::vector<std::unique_ptr<NvmDimm>> dimms_;
     std::vector<DimmState> state_;
     std::vector<Addr> watermark_;

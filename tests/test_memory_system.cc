@@ -1,17 +1,23 @@
 /**
  * @file
  * MemorySystem tests: translation, functional read/write through the
- * hierarchy, persistence at flush, timing/energy accounting, and
- * cross-core coherence of the tag state.
+ * hierarchy, persistence at flush, timing/energy accounting,
+ * cross-core coherence of the tag state, and the current-value sync
+ * that every dropCaches performs.
  */
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include "fs/dax_fs.hh"
 #include "mem/memory_system.hh"
+#include "redundancy/rebuild.hh"
 #include "sim/rng.hh"
 #include "test_util.hh"
 
@@ -231,6 +237,243 @@ TEST(MemorySystemDesign, TvarakLosesLlcWays)
               cfg.llcBank.ways - cfg.tvarak.redundancyWays -
                   cfg.tvarak.diffWays);
 }
+
+//
+// Current-value sync: after every dropCaches the current-value store
+// must equal what a whole-media copy would give — media bytes for
+// every readable line, the reconstruction for every degraded one.
+// (daxMap and daxUnmap drop first and then write metadata at rest, so
+// the checks below follow a bare dropCaches.)
+//
+
+/** dropCaches, then compare every line's current value with media. */
+::testing::AssertionResult
+dropAndCompare(MemorySystem &mem)
+{
+    mem.dropCaches();
+    NvmArray &nvm = mem.nvmArray();
+    std::vector<std::uint8_t> cur(kPageBytes);
+    std::vector<std::uint8_t> want(kPageBytes);
+    for (Addr g = 0; g < nvm.totalBytes(); g += kPageBytes) {
+        mem.peek(kNvmDirectBase + g, cur.data(), kPageBytes);
+        nvm.rawRead(g, want.data(), kPageBytes);
+        for (Addr off = 0; off < kPageBytes; off += kLineBytes) {
+            if (nvm.lineDegraded(g + off))
+                mem.reconstructLine(g + off, want.data() + off, false);
+        }
+        for (Addr off = 0; off < kPageBytes; off += kLineBytes) {
+            if (std::memcmp(cur.data() + off, want.data() + off,
+                            kLineBytes) != 0) {
+                return ::testing::AssertionFailure()
+                    << "current value of NVM line 0x" << std::hex
+                    << g + off << " differs from "
+                    << (nvm.lineDegraded(g + off) ? "its reconstruction"
+                                                  : "media");
+            }
+        }
+    }
+    return ::testing::AssertionSuccess();
+}
+
+class MirrorSync : public ::testing::TestWithParam<const Design *>
+{
+  protected:
+    static constexpr std::size_t kPages = 32;
+
+    MirrorSync()
+        : mem(test::smallConfig(), *GetParam()), fs(mem)
+    {
+        fd = fs.create("f", kPages * kPageBytes);
+        base = fs.daxMap(fd);
+        EXPECT_TRUE(dropAndCompare(mem));
+    }
+
+    /** Fill every line of the file with seed-derived values. */
+    void
+    writeAll(std::uint64_t seed)
+    {
+        for (std::size_t i = 0; i < kPages * kLinesPerPage; i++)
+            mem.write64(0, base + i * kLineBytes, seed * 1000003 + i);
+    }
+
+    /** A file page on the same DIMM as page @p page, after it. */
+    std::size_t
+    sameDimmPage(std::size_t page)
+    {
+        NvmArray &nvm = mem.nvmArray();
+        std::size_t other = page + 1;
+        while (nvm.dimmOf(fs.filePage(fd, other)) !=
+               nvm.dimmOf(fs.filePage(fd, page))) {
+            other++;
+        }
+        return other;
+    }
+
+    MemorySystem mem;
+    DaxFs fs;
+    int fd = -1;
+    Addr base = 0;
+};
+
+TEST_P(MirrorSync, StreamMapWriteUnmap)
+{
+    // STREAM-style: three arrays mapped, a and b initialised, c = a +
+    // b, everything unmapped; every map and unmap drops the caches.
+    constexpr std::size_t kLines = kPages * kLinesPerPage;
+    int fa = fs.create("a", kPages * kPageBytes);
+    int fb = fs.create("b", kPages * kPageBytes);
+    int fc = fs.create("c", kPages * kPageBytes);
+    Addr a = fs.daxMap(fa);
+    EXPECT_TRUE(dropAndCompare(mem));
+    Addr b = fs.daxMap(fb);
+    EXPECT_TRUE(dropAndCompare(mem));
+    Addr c = fs.daxMap(fc);
+    EXPECT_TRUE(dropAndCompare(mem));
+    for (std::size_t i = 0; i < kLines; i++) {
+        mem.write64(0, a + i * kLineBytes, i);
+        mem.write64(1, b + i * kLineBytes, 3 * i);
+    }
+    EXPECT_TRUE(dropAndCompare(mem));
+    for (std::size_t i = 0; i < kLines; i++) {
+        mem.write64(0, c + i * kLineBytes,
+                    mem.read64(0, a + i * kLineBytes) +
+                        mem.read64(0, b + i * kLineBytes));
+    }
+    for (int f : {fa, fb, fc}) {
+        fs.daxUnmap(f);
+        EXPECT_TRUE(dropAndCompare(mem));
+    }
+    c = fs.daxMap(fc);
+    EXPECT_TRUE(dropAndCompare(mem));
+    EXPECT_EQ(mem.read64(0, c + 7 * kLineBytes), 28u);
+}
+
+TEST_P(MirrorSync, LostWrite)
+{
+    NvmArray &nvm = mem.nvmArray();
+    Addr target = fs.filePage(fd, 3) + 5 * kLineBytes;
+    Addr vaddr = base + 3 * kPageBytes + 5 * kLineBytes;
+    mem.write64(0, vaddr, 0x1111);
+    mem.flushAll();
+    mem.write64(0, vaddr, 0x2222);
+    auto &dimm = nvm.dimm(nvm.dimmOf(target));
+    dimm.injectLostWrite(nvm.mediaAddrOf(target));
+    EXPECT_TRUE(dropAndCompare(mem));
+    ASSERT_EQ(dimm.bugsTriggered(), 1u);
+    (void)mem.read64(1, vaddr);  // stale, or recovered and repaired
+    EXPECT_TRUE(dropAndCompare(mem));
+}
+
+TEST_P(MirrorSync, MisdirectedWrite)
+{
+    NvmArray &nvm = mem.nvmArray();
+    std::size_t victim_idx = sameDimmPage(0);
+    Addr intended = fs.filePage(fd, 0);
+    Addr victim = fs.filePage(fd, victim_idx);
+    mem.write64(0, base + victim_idx * kPageBytes, 0xAAAA);
+    EXPECT_TRUE(dropAndCompare(mem));
+    auto &dimm = nvm.dimm(nvm.dimmOf(intended));
+    dimm.injectMisdirectedWrite(nvm.mediaAddrOf(intended),
+                                nvm.mediaAddrOf(victim));
+    mem.write64(0, base, 0xBBBB);
+    EXPECT_TRUE(dropAndCompare(mem));
+    ASSERT_EQ(dimm.bugsTriggered(), 1u);
+    (void)mem.read64(1, base + victim_idx * kPageBytes);
+    (void)mem.read64(1, base);
+    EXPECT_TRUE(dropAndCompare(mem));
+}
+
+TEST_P(MirrorSync, MisdirectedRead)
+{
+    NvmArray &nvm = mem.nvmArray();
+    std::size_t b_idx = sameDimmPage(2);
+    Addr a = fs.filePage(fd, 2);
+    Addr b = fs.filePage(fd, b_idx);
+    mem.write64(0, base + 2 * kPageBytes, 0xCCCC);
+    mem.write64(0, base + b_idx * kPageBytes, 0xDDDD);
+    EXPECT_TRUE(dropAndCompare(mem));
+    auto &dimm = nvm.dimm(nvm.dimmOf(a));
+    dimm.injectMisdirectedRead(nvm.mediaAddrOf(a), nvm.mediaAddrOf(b));
+    // Baseline installs b's bytes as a's current value; TVARAK
+    // detects the mismatch and retries.
+    (void)mem.read64(1, base + 2 * kPageBytes);
+    ASSERT_EQ(dimm.bugsTriggered(), 1u);
+    EXPECT_TRUE(dropAndCompare(mem));
+}
+
+TEST_P(MirrorSync, BitFlip)
+{
+    NvmArray &nvm = mem.nvmArray();
+    writeAll(1);
+    EXPECT_TRUE(dropAndCompare(mem));
+    // A flip in a line nothing reads before the drop, then one in a
+    // line that is read (Baseline consumes it, TVARAK corrects it).
+    for (std::size_t page : {4u, 9u}) {
+        Addr g = fs.filePage(fd, page) + 2 * kLineBytes;
+        nvm.dimm(nvm.dimmOf(g)).injectBitFlip(nvm.mediaAddrOf(g), 3);
+        if (page == 9)
+            (void)mem.read64(0, base + page * kPageBytes + 2 * kLineBytes);
+        EXPECT_TRUE(dropAndCompare(mem)) << "page " << page;
+    }
+}
+
+TEST_P(MirrorSync, DimmFailReplaceRebuild)
+{
+    NvmArray &nvm = mem.nvmArray();
+    writeAll(2);
+    mem.flushAll();
+    std::size_t dimm = nvm.dimmOf(fs.filePage(fd, 1));
+    mem.write64(0, base + kPageBytes, 0x5555);  // cached when it dies
+    mem.failDimm(dimm);
+    writeAll(3);  // writebacks to the dead DIMM are dropped
+    EXPECT_TRUE(dropAndCompare(mem));
+    EXPECT_TRUE(dropAndCompare(mem));  // still degraded, nothing new
+    mem.replaceDimm(dimm);
+    RebuildEngine rebuild(mem, &fs);
+    rebuild.step(4 * kPageBytes / kLineBytes);
+    EXPECT_TRUE(dropAndCompare(mem));  // some lines above the watermark
+    rebuild.runToCompletion();
+    ASSERT_EQ(nvm.dimmState(dimm), NvmArray::DimmState::Healthy);
+    EXPECT_TRUE(dropAndCompare(mem));
+}
+
+TEST_P(MirrorSync, DimmFailReplaceRebuildWithoutDrop)
+{
+    // No drop while degraded: the poisoned current values of lines
+    // the rebuild does not rewrite must still be re-synced.
+    NvmArray &nvm = mem.nvmArray();
+    writeAll(6);
+    std::size_t dimm = nvm.dimmOf(fs.filePage(fd, 2));
+    mem.failDimm(dimm);
+    mem.replaceDimm(dimm);
+    RebuildEngine(mem, &fs).runToCompletion();
+    ASSERT_EQ(nvm.dimmState(dimm), NvmArray::DimmState::Healthy);
+    EXPECT_TRUE(dropAndCompare(mem));
+}
+
+TEST_P(MirrorSync, SaveAndLoadImage)
+{
+    char path[] = "/tmp/tvarak-mirror-XXXXXX";
+    int tmp = mkstemp(path);
+    ASSERT_GE(tmp, 0);
+    close(tmp);
+    writeAll(4);
+    ASSERT_TRUE(mem.saveNvmImage(path));
+    writeAll(5);
+    EXPECT_TRUE(dropAndCompare(mem));  // no page is marked after this
+    ASSERT_TRUE(mem.loadNvmImage(path));
+    std::remove(path);
+    EXPECT_TRUE(dropAndCompare(mem));
+    EXPECT_EQ(mem.read64(0, base + 6 * kLineBytes), 4 * 1000003 + 6u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Designs, MirrorSync,
+    ::testing::Values(&designOf(DesignKind::Baseline),
+                      &designOf(DesignKind::Tvarak)),
+    [](const ::testing::TestParamInfo<const Design *> &info) {
+        return test::paramName(info.param);
+    });
 
 }  // namespace
 }  // namespace tvarak
