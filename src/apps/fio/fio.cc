@@ -54,13 +54,20 @@ FioWorkload::setup()
         mem_, scheme_, base_, params_.regionBytes,
         base_ + params_.regionBytes);
 
-    // Read workloads need non-trivial resident data.
+    // Read workloads need non-trivial resident data, written at rest
+    // a page at a time.
     if (params_.pattern == Pattern::SeqRead ||
         params_.pattern == Pattern::RandRead) {
-        std::uint8_t buf[kLineBytes];
-        for (std::size_t l = 0; l < lines_; l++) {
-            std::memset(buf, static_cast<int>(l & 0xff), sizeof(buf));
-            mem_.write(tid_, base_ + l * kLineBytes, buf, sizeof(buf));
+        std::uint8_t page[kPageBytes];
+        for (std::size_t p = 0; p < params_.regionBytes / kPageBytes;
+             p++) {
+            for (std::size_t l = 0; l < kLinesPerPage; l++) {
+                std::memset(page + l * kLineBytes,
+                            static_cast<int>((p * kLinesPerPage + l) &
+                                             0xff),
+                            kLineBytes);
+            }
+            fs_.initialize(fd, p * kPageBytes, page, kPageBytes);
         }
     }
 }

@@ -7,6 +7,13 @@
  * cache line is accessed twice (paper Table II). The random pattern is
  * a multiplicative-permutation walk over the region's lines, which
  * visits every line exactly once with no spatial locality.
+ *
+ * The read patterns' resident data is written at rest in setup()
+ * (DaxFs::initialize), so set-up leaves no line cached. Factories
+ * close set-up with a dropCaches (every one in the tree does), and
+ * the measured phase then starts cold exactly as it did after timed
+ * initialisation. Without that drop it also starts cold, where timed
+ * initialisation used to leave the last thread's lines cached.
  */
 
 #pragma once

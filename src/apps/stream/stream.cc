@@ -67,18 +67,25 @@ StreamWorkload::setup()
     coverage_ = std::make_unique<RawCoverage>(mem_, scheme_, base, data,
                                               base + data);
 
-    // Initialize the input arrays with real doubles, informing the
-    // interposing library (the TxB schemes must cover every write
-    // that goes through them, including initialization).
-    double vals[8];
+    // Initialize the input arrays with real doubles, at rest and a
+    // page at a time (one page of staging, not whole arrays). Then
+    // inform the interposing library of every line in the order the
+    // lines were written: the TxB schemes must cover every write that
+    // goes through them, including initialization, and their commits
+    // stay timed set-up work.
+    constexpr std::size_t kPerPage = kPageBytes / sizeof(double);
+    double vals[kPerPage];
+    for (std::size_t p = 0; p < params_.chunkBytes / kPageBytes; p++) {
+        for (std::size_t i = 0; i < kPerPage; i++)
+            vals[i] = static_cast<double>(p * kPerPage + i);
+        fs_.initialize(fd, p * kPageBytes, vals, kPageBytes);
+        for (std::size_t i = 0; i < kPerPage; i++)
+            vals[i] = 2.0 * static_cast<double>(p * kPerPage + i);
+        fs_.initialize(fd, params_.chunkBytes + p * kPageBytes, vals,
+                       kPageBytes);
+    }
     for (std::size_t l = 0; l < lines_; l++) {
-        for (int i = 0; i < 8; i++)
-            vals[i] = static_cast<double>(l * 8 + i);
-        mem_.write(tid_, a_ + l * kLineBytes, vals, sizeof(vals));
         coverage_->onWrite(tid_, a_ + l * kLineBytes, kLineBytes);
-        for (int i = 0; i < 8; i++)
-            vals[i] = 2.0 * static_cast<double>(l * 8 + i);
-        mem_.write(tid_, b_ + l * kLineBytes, vals, sizeof(vals));
         coverage_->onWrite(tid_, b_ + l * kLineBytes, kLineBytes);
     }
 }

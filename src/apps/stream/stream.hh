@@ -5,6 +5,13 @@
  * non-overlapping chunk of the a/b/c arrays; the baseline saturates
  * NVM bandwidth, which is why all redundancy designs show their
  * largest relative overheads here.
+ *
+ * setup() writes the input arrays at rest (DaxFs::initialize), so it
+ * leaves no line cached. Factories close set-up with a dropCaches
+ * (every one in the tree does), and the measured phase then starts
+ * cold exactly as it did after timed initialisation. Without that
+ * drop it also starts cold, where timed initialisation used to leave
+ * the last thread's lines cached.
  */
 
 #pragma once

@@ -11,7 +11,8 @@ StripeView::StripeView(const Layout &layout, NvmArray &nvm)
       nvm_(nvm),
       rs_(layout.dataCount(), layout.parityCount()),
       bufs_(layout.dimms()),
-      ptrs_(layout.dimms())
+      ptrs_(layout.dimms()),
+      encodePtrs_(layout.dimms())
 {
     for (std::size_t m = 0; m < bufs_.size(); m++)
         ptrs_[m] = bufs_[m].data();
@@ -51,6 +52,23 @@ StripeView::reconstruct(Addr nvmAddr, std::uint8_t *out, Source &src,
     }
     std::memcpy(out, ptrs_[target], kLineBytes);
     return true;
+}
+
+void
+StripeView::encodeFromMedia(Addr page, std::vector<std::uint8_t> &stripe)
+{
+    const std::size_t members = rs_.n() + rs_.k();
+    layout_.stripeDataPages(page, pages_);
+    stripe.resize(members * kPageBytes);
+    for (std::size_t i = 0; i < pages_.size(); i++)
+        nvm_.rawRead(pages_[i], stripe.data() + i * kPageBytes, kPageBytes);
+    for (std::size_t l = 0; l < kLinesPerPage; l++) {
+        for (std::size_t m = 0; m < members; m++) {
+            encodePtrs_[m] =
+                stripe.data() + m * kPageBytes + l * kLineBytes;
+        }
+        rs_.encode(encodePtrs_.data());
+    }
 }
 
 }  // namespace tvarak

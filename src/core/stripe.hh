@@ -61,6 +61,14 @@ class StripeView
     bool reconstruct(Addr nvmAddr, std::uint8_t *out, Source &src,
                      bool charge);
 
+    /**
+     * Encode the parity of @p page's stripe from its data pages'
+     * media bytes. @p stripe receives the n+k member pages in coding
+     * order (data pages, then parity roles 0..k-1), every in-page
+     * line encoded with the machine's codec. Untimed.
+     */
+    void encodeFromMedia(Addr page, std::vector<std::uint8_t> &stripe);
+
   private:
     const Layout &layout_;
     NvmArray &nvm_;
@@ -70,6 +78,8 @@ class StripeView
     std::vector<Addr> pages_;
     std::vector<std::array<std::uint8_t, kLineBytes>> bufs_;
     std::vector<std::uint8_t *> ptrs_;
+    /** encodeFromMedia's per-line member pointers, sized n+k once. */
+    std::vector<std::uint8_t *> encodePtrs_;
 };
 
 }  // namespace tvarak

@@ -731,6 +731,32 @@ TvarakEngine::dropCleanState()
 }
 
 void
+TvarakEngine::dropRedLine(Addr raddr)
+{
+    // The directory's sharer mask names every controller cache that
+    // holds the line.
+    auto it = directory_.find(raddr);
+    if (it != directory_.end()) {
+        for (std::size_t c = 0; c < banks_; c++) {
+            if (!(it->second.sharers & (1u << c)))
+                continue;
+            const Cache::Line *line = ctrlCaches_[c].probe(raddr);
+            panic_if(line != nullptr && line->dirty,
+                     "dropping dirty redundancy line %llx",
+                     static_cast<unsigned long long>(raddr));
+            ctrlCaches_[c].invalidate(raddr);
+        }
+        directory_.erase(it);
+    }
+    Cache &home = llcRedPartitions_[homeBank(raddr)];
+    const Cache::Line *line = home.probe(raddr);
+    panic_if(line != nullptr && line->dirty,
+             "dropping dirty redundancy line %llx",
+             static_cast<unsigned long long>(raddr));
+    home.invalidate(raddr);
+}
+
+void
 TvarakEngine::initDaxClChecksums(Addr nvmPage)
 {
     panic_if(pageOffset(nvmPage) != 0, "unaligned page");
@@ -748,13 +774,8 @@ TvarakEngine::initDaxClChecksums(Addr nvmPage)
         store64(bytes, csum);
         nvm_.rawWrite(entry, bytes, kChecksumBytes);
     }
-    for (std::size_t l = 0; l < kLinesPerPage; l += kChecksumsPerLine) {
-        Addr csum_line = layout_.daxClCsumLine(nvmPage + l * kLineBytes);
-        for (std::size_t c = 0; c < banks_; c++)
-            ctrlCaches_[c].invalidate(csum_line);
-        llcRedPartitions_[homeBank(csum_line)].invalidate(csum_line);
-        directory_.erase(csum_line);
-    }
+    for (std::size_t l = 0; l < kLinesPerPage; l += kChecksumsPerLine)
+        dropRedLine(layout_.daxClCsumLine(nvmPage + l * kLineBytes));
 }
 
 void
@@ -766,13 +787,8 @@ TvarakEngine::clearDaxClChecksums(Addr nvmPage)
         Addr entry = layout_.daxClCsumAddr(nvmPage + l * kLineBytes);
         nvm_.rawWrite(entry, zeros, kChecksumBytes);
     }
-    for (std::size_t l = 0; l < kLinesPerPage; l += kChecksumsPerLine) {
-        Addr csum_line = layout_.daxClCsumLine(nvmPage + l * kLineBytes);
-        for (std::size_t c = 0; c < banks_; c++)
-            ctrlCaches_[c].invalidate(csum_line);
-        llcRedPartitions_[homeBank(csum_line)].invalidate(csum_line);
-        directory_.erase(csum_line);
-    }
+    for (std::size_t l = 0; l < kLinesPerPage; l += kChecksumsPerLine)
+        dropRedLine(layout_.daxClCsumLine(nvmPage + l * kLineBytes));
 }
 
 }  // namespace tvarak

@@ -167,14 +167,21 @@ class TvarakEngine final : public StripeView::Source
     void dropCleanState();
 
     /** Initialize the DAX-CL-checksums for a page from its current
-     *  media content (checksum "downgrade" at dax-map time; untimed,
-     *  performed by software per the paper). */
+     *  media content (checksum "downgrade" at dax-map time, and
+     *  cold-start initialisation; untimed, performed by software per
+     *  the paper). Panics if one of their lines is cached dirty. */
     void initDaxClChecksums(Addr nvmPage);
 
     /** Zero a page's DAX-CL-checksum slots (dax-unmap time: coverage
      *  moved back to the page-granular checksum, so the slots return
      *  to their never-mapped state). */
     void clearDaxClChecksums(Addr nvmPage);
+
+    /** Invalidate every cached copy of redundancy line @p raddr
+     *  (controller caches and LLC partition) before software rewrites
+     *  it at rest. Panics on a dirty copy, whose writeback would undo
+     *  the rewrite. */
+    void dropRedLine(Addr raddr);
 
     /** Authoritative (cache-coherent) read of a redundancy line,
      *  untimed; used by scrub/verification utilities. */

@@ -34,33 +34,6 @@ struct Superblock {
 };
 static_assert(sizeof(Superblock) <= kPageBytes);
 
-/**
- * Encode the parity of @p page's stripe from its data pages' media
- * bytes. @p stripe receives the n+k member pages in StripeView's
- * order (data pages in coding-index order, then parity roles
- * 0..k-1), each in-page line encoded with the machine's codec.
- */
-void
-encodeStripeFromMedia(MemorySystem &mem, Addr page,
-                      std::vector<std::uint8_t> &stripe)
-{
-    const RsCode &rs = mem.rsCodec();
-    const std::size_t members = rs.n() + rs.k();
-    std::vector<Addr> pages;
-    mem.layout().stripeDataPages(page, pages);
-    stripe.resize(members * kPageBytes);
-    for (std::size_t i = 0; i < pages.size(); i++) {
-        mem.nvmArray().rawRead(pages[i], stripe.data() + i * kPageBytes,
-                               kPageBytes);
-    }
-    std::vector<std::uint8_t *> lines(members);
-    for (std::size_t l = 0; l < kLinesPerPage; l++) {
-        for (std::size_t m = 0; m < members; m++)
-            lines[m] = stripe.data() + m * kPageBytes + l * kLineBytes;
-        rs.encode(lines.data());
-    }
-}
-
 }  // namespace
 
 DaxFs::DaxFs(MemorySystem &mem) : mem_(mem)
@@ -96,7 +69,7 @@ DaxFs::writeSuperblock()
     // out-of-band write.
     const Layout &layout = mem_.layout();
     std::vector<std::uint8_t> stripe;
-    encodeStripeFromMedia(mem_, sb_page, stripe);
+    mem_.encodeStripeFromMedia(sb_page, stripe);
     std::vector<Addr> touched{sb_page};
     for (std::size_t j = 0; j < layout.parityCount(); j++) {
         Addr parity_page = layout.parityPageOf(sb_page, j);
@@ -370,6 +343,30 @@ DaxFs::daxUnmap(int fd)
         writePageChecksumRaw(nvm_page);
     }
     f.mapped = false;
+}
+
+void
+DaxFs::initialize(int fd, std::size_t offset, const void *buf,
+                  std::size_t len)
+{
+    trace::TraceSink *sink = mem_.traceSink();
+    bool rec = sink != nullptr && sink->active();
+    if (rec)
+        sink->onFsInit(fd, offset, buf, len);
+    const File &f = file(fd);
+    panic_if(!f.mapped, "initialize of an unmapped file");
+    panic_if(offset + len > f.bytes, "initialize beyond EOF");
+    const auto *in = static_cast<const std::uint8_t *>(buf);
+    while (len > 0) {
+        Addr nvm_page = filePage(fd, offset / kPageBytes);
+        std::size_t in_page =
+            std::min(len, kPageBytes - pageOffset(offset));
+        mem_.writeAtRest(nvm_page + pageOffset(offset), in, in_page);
+        mem_.coverAtRest(nvm_page);
+        offset += in_page;
+        in += in_page;
+        len -= in_page;
+    }
 }
 
 //
@@ -656,7 +653,7 @@ DaxFs::verifyParity()
         // Re-encode the stripe's data members and compare every
         // parity role against media (role 0 degenerates to the XOR
         // check the single-parity designs have always used).
-        encodeStripeFromMedia(mem_, first, stripe);
+        mem_.encodeStripeFromMedia(first, stripe);
         bool stripe_bad = false;
         for (std::size_t j = 0; j < k && !stripe_bad; j++) {
             mem_.nvmArray().rawRead(layout.parityPageOf(first, j),

@@ -76,6 +76,19 @@ class DaxFs
     Addr vbase(int fd) const;
     /**@}*/
 
+    /**
+     * Cold-start initialisation of a mapped file: write @p len bytes
+     * at @p offset straight into the state that timed writes, their
+     * writebacks and a dropCaches would leave — media, current values
+     * and the design's redundancy at rest (DESIGN.md §3, "Cold-start
+     * initialisation"). Untimed and charge-free, so it fits set-up
+     * that a dropCaches closes before measurement. Panics if the file
+     * is unmapped, a DIMM is degraded, or a cache holds dirty one of
+     * the data, checksum or parity lines it writes.
+     */
+    void initialize(int fd, std::size_t offset, const void *buf,
+                    std::size_t len);
+
     /** @name Non-DAX I/O path (page system-checksums in software) */
     /**@{*/
     void pwrite(int tid, int fd, std::size_t offset, const void *buf,

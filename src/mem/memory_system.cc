@@ -783,6 +783,40 @@ MemorySystem::dropCaches()
 }
 
 void
+MemorySystem::writeAtRest(Addr nvmAddr, const void *buf, std::size_t len)
+{
+    // A dead DIMM drops raw writes, so media and current value would
+    // part ways; degraded arrays initialise through timed writes.
+    panic_if(nvm_.anyDegraded(), "write at rest on a degraded array");
+    for (Addr g = lineBase(nvmAddr); g < nvmAddr + len; g += kLineBytes) {
+        // LLC inclusion: a line the LLC does not hold is not cached.
+        Addr paddr = kNvmPhysBase + g;
+        const Cache::Line *line = llc_[bankOf(paddr)].probe(paddr);
+        if (line == nullptr)
+            continue;
+        bool dirty = line->dirty;
+        for (std::size_t c = 0; c < l1_.size() && !dirty; c++) {
+            if (!(line->sharers & (1u << c)))
+                continue;
+            const Cache::Line *p1 = l1_[c].probe(paddr);
+            const Cache::Line *p2 = l2_[c].probe(paddr);
+            dirty = (p1 != nullptr && p1->dirty) ||
+                (p2 != nullptr && p2->dirty);
+        }
+        panic_if(dirty, "write at rest over dirty cached line %llx",
+                 static_cast<unsigned long long>(g));
+    }
+    nvm_.rawWrite(nvmAddr, buf, len);  // marks the pages
+    std::memcpy(funcPtr(kNvmPhysBase + nvmAddr, true), buf, len);
+}
+
+void
+MemorySystem::coverAtRest(Addr nvmPage)
+{
+    ctrl_->coverAtRest(nvmPage);
+}
+
+void
 MemorySystem::refreshFromMedia(Addr vaddr, std::size_t len)
 {
     while (len > 0) {

@@ -193,6 +193,31 @@ class MemorySystem final : private StripeView::Source
      */
     void refreshFromMedia(Addr vaddr, std::size_t len);
 
+    /** @name Writes at rest (cold-start initialisation, untimed)
+     *  DaxFs::initialize writes file contents straight into the state
+     *  that writebacks followed by dropCaches would leave: media,
+     *  current values and the design's redundancy at rest. */
+    /**@{*/
+    /**
+     * Write @p len bytes at NVM-global @p nvmAddr to the media and to
+     * the current-value store (their pages are marked). Panics if a
+     * cache holds one of the lines dirty, since its writeback would
+     * overwrite the bytes; clean copies stay valid, because data
+     * caches hold tags only.
+     */
+    void writeAtRest(Addr nvmAddr, const void *buf, std::size_t len);
+    /** Restore the redundancy at rest that writebacks of data page
+     *  @p nvmPage would leave under this design (its controller's
+     *  MemController::coverAtRest). */
+    void coverAtRest(Addr nvmPage);
+    /** Encode @p page's stripe from media (StripeView::encodeFromMedia
+     *  with the machine's codec). */
+    void encodeStripeFromMedia(Addr page, std::vector<std::uint8_t> &stripe)
+    {
+        stripes_.encodeFromMedia(page, stripe);
+    }
+    /**@}*/
+
     /** Invalidate-without-writeback is deliberately not offered:
      *  redundancy consistency requires writebacks. */
 

@@ -9,6 +9,7 @@
 
 #include <cctype>
 
+#include "checksum/checksum.hh"
 #include "core/tvarak.hh"
 #include "mem/memory_system.hh"
 #include "redundancy/scheme.hh"
@@ -39,7 +40,7 @@ class TvarakMemController final : public MemController
 {
   public:
     explicit TvarakMemController(MemorySystem &mem)
-        : engine_(mem.tvarak())
+        : mem_(mem), engine_(mem.tvarak())
     {}
 
     void fillLine(std::size_t bank, Addr nvmAddr,
@@ -91,8 +92,46 @@ class TvarakMemController final : public MemController
         return engine_.isDaxData(nvmAddr);
     }
 
+    void coverAtRest(Addr nvmPage) override
+    {
+        if (!engine_.isDaxData(nvmPage))
+            return;
+        // What updateRedundancy leaves once every line of the page has
+        // been written back: its checksums (DAX-CL slots, or the page
+        // slot at the naive point) match media, and every parity role
+        // of its stripe is the encoding of the stripe's media.
+        const Layout &layout = mem_.layout();
+        if (mem_.daxCsumFormat() == DaxCsumFormat::Line) {
+            engine_.initDaxClChecksums(nvmPage);
+        } else {
+            std::uint8_t page[kPageBytes];
+            mem_.nvmArray().rawRead(nvmPage, page, kPageBytes);
+            std::uint64_t csum = pageChecksum(page);
+            writeRedundancy(layout.pageCsumAddr(nvmPage), &csum,
+                            kChecksumBytes);
+        }
+        mem_.encodeStripeFromMedia(nvmPage, stripe_);
+        for (std::size_t j = 0; j < layout.parityCount(); j++) {
+            writeRedundancy(
+                layout.parityPageOf(nvmPage, j),
+                stripe_.data() + (layout.dataCount() + j) * kPageBytes,
+                kPageBytes);
+        }
+    }
+
   private:
+    /** Write redundancy bytes at rest; the engine's cached copies of
+     *  their lines go (a dirty one panics). */
+    void writeRedundancy(Addr nvmAddr, const void *buf, std::size_t len)
+    {
+        for (Addr l = lineBase(nvmAddr); l < nvmAddr + len; l += kLineBytes)
+            engine_.dropRedLine(l);
+        mem_.writeAtRest(nvmAddr, buf, len);
+    }
+
+    MemorySystem &mem_;
     TvarakEngine &engine_;
+    std::vector<std::uint8_t> stripe_;  //!< coverAtRest's encode scratch
 };
 
 // ------------------------------------------------- concrete designs

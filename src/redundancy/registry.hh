@@ -146,6 +146,15 @@ class MemController
         (void)nvmAddr;
         return false;
     }
+
+    /**
+     * Data page @p nvmPage was just written at rest
+     * (MemorySystem::writeAtRest, from DaxFs::initialize): write the
+     * redundancy that writebacks of its lines would have left at
+     * rest, through MemorySystem::writeAtRest. Untimed. The null
+     * controller maintains none.
+     */
+    virtual void coverAtRest(Addr nvmPage) { (void)nvmPage; }
 };
 
 /** How a design detects at-rest corruption (keys the fault tool's

@@ -30,19 +30,18 @@ RedundancyScheme::recomputeParityLine(int tid, Addr vline)
     // over the line, with the machine's one codec.
     const RsCode &rs = mem_.rsCodec();
     const std::size_t k = layout.parityCount();
-    std::vector<Addr> pages;
-    layout.stripeDataPages(g, pages);
+    layout.stripeDataPages(g, pages_);
     std::size_t offset = lineInPage(g) * kLineBytes;
     std::uint8_t own[kLineBytes];
     mem_.read(tid, lineBase(vline), own, kLineBytes);
     parity_.resize(k);
     for (auto &p : parity_)
         p.fill(0);
-    for (std::size_t i = 0; i < pages.size(); i++) {
+    for (std::size_t i = 0; i < pages_.size(); i++) {
         std::uint8_t sib[kLineBytes];
         const std::uint8_t *line = own;
-        if (pages[i] != pageBase(g)) {
-            mem_.read(tid, nvmDirectVaddr(pages[i] + offset), sib,
+        if (pages_[i] != pageBase(g)) {
+            mem_.read(tid, nvmDirectVaddr(pages_[i] + offset), sib,
                       kLineBytes);
             line = sib;
         }

@@ -77,6 +77,8 @@ class RedundancyScheme
   private:
     /** recomputeParityLine's parity scratch, reused across lines. */
     std::vector<std::array<std::uint8_t, kLineBytes>> parity_;
+    /** recomputeParityLine's stripe data pages, reused across lines. */
+    std::vector<Addr> pages_;
 };
 
 /** Pangolin-like object-granular checksums. */

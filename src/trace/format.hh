@@ -33,6 +33,7 @@
  *   FsPwrite         fd offset len payload[len]
  *   FsPread          fd offset len
  *   Marker           subtype
+ *   FsInit           fd offset len payload[len]
  *
  * Commit ranges (see redundancy/scheme.hh: DirtyRange) encode per
  * range: a flags byte (appData, has-object, has-checksum-slot,
@@ -67,6 +68,10 @@ enum class Op : std::uint8_t {
     FsPwrite = 10,
     FsPread = 11,
     Marker = 12,
+    /** DaxFs::initialize: file contents written at rest. Its
+     *  writes are not recorded as Write events, and replay calls
+     *  DaxFs::initialize. */
+    FsInit = 13,
 };
 
 /** Marker subtypes. */

@@ -76,6 +76,9 @@ class TraceSink
                             const void *buf, std::size_t len) = 0;
     virtual void onFsPread(int tid, int fd, std::size_t offset,
                            std::size_t len) = 0;
+    /** DaxFs::initialize (untimed: no nested accesses to suspend). */
+    virtual void onFsInit(int fd, std::size_t offset, const void *buf,
+                          std::size_t len) = 0;
     /**@}*/
 
     /** Out-of-band barrier marker (see format.hh for subtypes). */

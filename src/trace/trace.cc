@@ -216,15 +216,16 @@ validateRecords(const TraceData &trace, std::string &err)
             if (!getVarintChecked(p, end, u))
                 return fail("bad file descriptor");
             break;
-          case Op::FsPwrite: {
+          case Op::FsPwrite:
+          case Op::FsInit: {
             std::uint64_t len = 0;
             if (!getVarintChecked(p, end, u) ||
                 !getVarintChecked(p, end, u) ||
                 !getVarintChecked(p, end, len)) {
-                return fail("bad pwrite operands");
+                return fail("bad pwrite/init operands");
             }
             if (static_cast<std::uint64_t>(end - p) < len)
-                return fail("truncated pwrite payload");
+                return fail("truncated pwrite/init payload");
             p += len;
             break;
           }
@@ -634,6 +635,21 @@ TraceWriter::onFsPwrite(int tid, int fd, std::size_t offset,
                         const void *buf, std::size_t len)
 {
     putHead(Op::FsPwrite, tid);
+    putFileBytes(fd, offset, buf, len);
+}
+
+void
+TraceWriter::onFsInit(int fd, std::size_t offset, const void *buf,
+                      std::size_t len)
+{
+    putHead(Op::FsInit, 0);
+    putFileBytes(fd, offset, buf, len);
+}
+
+void
+TraceWriter::putFileBytes(int fd, std::size_t offset, const void *buf,
+                          std::size_t len)
+{
     putVarint(data_->records, static_cast<std::uint64_t>(fd));
     putVarint(data_->records, offset);
     putVarint(data_->records, len);
@@ -778,11 +794,12 @@ TraceCursor::next(TraceEvent &e)
         e.fd = static_cast<int>(getVarint(p_, end_));
         break;
       case Op::FsPwrite:
+      case Op::FsInit:
         e.fd = static_cast<int>(getVarint(p_, end_));
         e.offset = getVarint(p_, end_);
         e.len = getVarint(p_, end_);
         panic_if(static_cast<std::size_t>(end_ - p_) < e.len,
-                 "trace: truncated pwrite payload");
+                 "trace: truncated pwrite/init payload");
         e.payload = p_;
         p_ += e.len;
         break;
@@ -891,6 +908,9 @@ TraceReplayWorkload::apply(const TraceEvent &e)
         if (scratch_.size() < e.len)
             scratch_.resize(e.len);
         fs_.pread(e.tid, e.fd, e.offset, scratch_.data(), e.len);
+        break;
+      case Op::FsInit:
+        fs_.initialize(e.fd, e.offset, e.payload, e.len);
         break;
       case Op::Marker:
         if (e.subtype == kMarkerResetStats)

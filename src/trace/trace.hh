@@ -86,6 +86,8 @@ class TraceWriter final : public TraceSink
                     std::size_t len) override;
     void onFsPread(int tid, int fd, std::size_t offset,
                    std::size_t len) override;
+    void onFsInit(int fd, std::size_t offset, const void *buf,
+                  std::size_t len) override;
     void onMarker(std::uint64_t subtype) override;
 
     /** Seal and hand over the trace (the writer is spent after). */
@@ -93,6 +95,9 @@ class TraceWriter final : public TraceSink
 
   private:
     void putHead(Op op, int tid);
+    /** fd, offset, len and the payload (FsPwrite / FsInit). */
+    void putFileBytes(int fd, std::size_t offset, const void *buf,
+                      std::size_t len);
     /** Per-tid delta cursor; encode vaddr, advance cursor to end. */
     void putAddr(int tid, Addr vaddr, std::size_t len);
     Addr &cursorOf(int tid);
@@ -110,12 +115,12 @@ struct TraceEvent {
     std::size_t len = 0;
     Cycles cycles = 0;                 //!< Compute
     std::size_t bytes = 0;             //!< ComputeChecksum / FsCreate
-    const std::uint8_t *payload = nullptr;  //!< Write / FsPwrite
+    const std::uint8_t *payload = nullptr;  //!< Write / FsPwrite / FsInit
     bool runScheme = false;            //!< Commit
     bool countsTxCommit = false;       //!< Commit
     std::vector<DirtyRange> ranges;    //!< Commit
     int fd = -1;                       //!< Fs*
-    std::size_t offset = 0;            //!< FsPwrite / FsPread
+    std::size_t offset = 0;            //!< FsPwrite / FsPread / FsInit
     std::string name;                  //!< FsCreate
     std::uint64_t subtype = 0;         //!< Marker
 };

@@ -467,6 +467,29 @@ TEST_P(MirrorSync, SaveAndLoadImage)
     EXPECT_EQ(mem.read64(0, base + 6 * kLineBytes), 4 * 1000003 + 6u);
 }
 
+TEST_P(MirrorSync, InitializeAtRest)
+{
+    // Cold-start initialisation writes media and current values at
+    // rest; reads see the bytes at once, and a drop keeps them.
+    std::vector<std::uint8_t> page(kPageBytes);
+    for (std::size_t p = 0; p < kPages; p += 3) {
+        for (std::size_t i = 0; i < kPageBytes; i++)
+            page[i] = static_cast<std::uint8_t>(p * 7 + i);
+        fs.initialize(fd, p * kPageBytes, page.data(), kPageBytes);
+    }
+    fs.initialize(fd, kPageBytes + 100, page.data(), 300);  // partial
+    EXPECT_EQ(mem.read64(0, base + 6 * kPageBytes),
+              0x31302f2e2d2c2b2aull);
+    EXPECT_TRUE(dropAndCompare(mem));
+    EXPECT_EQ(mem.read64(1, base + 9 * kPageBytes + 8),
+              0x4e4d4c4b4a494847ull);
+    if (GetParam()->maintainsMappedParity()) {
+        mem.flushAll();
+        EXPECT_EQ(fs.verifyParity(), 0u);
+        EXPECT_EQ(fs.scrub(false), 0u);
+    }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Designs, MirrorSync,
     ::testing::Values(&designOf(DesignKind::Baseline),

@@ -146,10 +146,11 @@ TEST(Trace, WriterCursorRoundTrip)
     w.onCommit(1, {r}, true, true);
     w.onFsCreate("f", 4096, 3);
     w.onFsPwrite(0, 3, 128, payload, sizeof(payload));
+    w.onFsInit(3, 4096 + 64, payload, sizeof(payload));
     w.onMarker(trace::kMarkerResetStats);
     auto t = w.finish();
     ASSERT_NE(t, nullptr);
-    EXPECT_EQ(t->eventCount, 9u);
+    EXPECT_EQ(t->eventCount, 10u);
     EXPECT_EQ(t->threads, 2u);
 
     trace::TraceCursor c(*t);
@@ -193,6 +194,13 @@ TEST(Trace, WriterCursorRoundTrip)
     EXPECT_EQ(e.op, trace::Op::FsPwrite);
     EXPECT_EQ(e.fd, 3);
     EXPECT_EQ(e.offset, 128u);
+    ASSERT_EQ(e.len, sizeof(payload));
+    EXPECT_EQ(std::memcmp(e.payload, payload, sizeof(payload)), 0);
+    ASSERT_TRUE(c.next(e));
+    EXPECT_EQ(e.op, trace::Op::FsInit);
+    EXPECT_EQ(e.tid, 0);
+    EXPECT_EQ(e.fd, 3);
+    EXPECT_EQ(e.offset, 4096u + 64);
     ASSERT_EQ(e.len, sizeof(payload));
     EXPECT_EQ(std::memcmp(e.payload, payload, sizeof(payload)), 0);
     ASSERT_TRUE(c.next(e));

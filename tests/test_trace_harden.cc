@@ -76,6 +76,7 @@ fixtureTrace()
     w.onFsDaxMap(3);
     w.onFsPwrite(0, 3, 128, payload, sizeof(payload));
     w.onFsPread(1, 3, 128, 8);
+    w.onFsInit(3, 256, payload, sizeof(payload));
     w.onFsDaxUnmap(3);
     w.onFsRemove(3);
     w.onRead(17, 0x5000, 64);  // escaped-tid head byte
@@ -121,9 +122,10 @@ TEST(TraceHarden, LoadRejectsCraftedCorruptStreams)
         return trace::TraceData::load(path);
     };
 
-    // Unknown opcode in a head byte.
+    // Unknown opcode in a head byte (the last of the nibble, so new
+    // opcodes do not turn this into a truncated-record case).
     EXPECT_EQ(mangle([](trace::TraceData &t) {
-                  t.records.push_back(0xD0);  // opcode 13
+                  t.records.push_back(0xF0);  // opcode 15
                   t.eventCount++;
               }),
               nullptr);
@@ -141,6 +143,17 @@ TEST(TraceHarden, LoadRejectsCraftedCorruptStreams)
                   t.records.push_back(0x10);  // Write, tid 0
                   t.records.push_back(0x00);  // delta 0
                   t.records.push_back(0x7F);  // len 127, but no payload
+                  t.eventCount++;
+              }),
+              nullptr);
+
+    // FsInit whose payload length exceeds the remaining bytes.
+    EXPECT_EQ(mangle([](trace::TraceData &t) {
+                  t.records.push_back(0xD0);  // FsInit, tid 0
+                  t.records.push_back(0x03);  // fd 3
+                  t.records.push_back(0x00);  // offset 0
+                  t.records.push_back(0x40);  // len 64, but 1 byte
+                  t.records.push_back(0x55);
                   t.eventCount++;
               }),
               nullptr);

@@ -18,7 +18,8 @@
  * `stat` decodes the record stream and reports per-thread footprints,
  * the read/write mix, and a line-reuse histogram — the trace-level
  * quantities that explain per-design replay behavior (reuse hits in
- * cache; unique lines pay NVM and redundancy costs).
+ * cache; unique lines pay NVM and redundancy costs). File contents
+ * written at rest (FsInit) count as writes.
  */
 
 #include <cctype>
@@ -33,6 +34,8 @@
 
 #include "apps/stream/stream.hh"
 #include "apps/trees/tree_workload.hh"
+#include "fs/dax_fs.hh"
+#include "mem/memory_system.hh"
 #include "redundancy/registry.hh"
 #include "redundancy/scheme.hh"
 #include "sim/log.hh"
@@ -325,15 +328,33 @@ cmdStat(const std::vector<std::string> &raw)
     // output must not depend on hash iteration order (lint R10).
     std::map<std::uint64_t, std::uint64_t> lineAccesses;
 
+    // File contents written at rest (FsInit) come from no thread:
+    // they get their own row, and count in the mix and the reuse
+    // histogram. The records name a file offset, not an address, so
+    // the trace's creates and removes run on a scratch file system,
+    // as replay would run them, to place each file.
+    PerThread fsInit;
+    MemorySystem scratchMem(t->cfg, *findDesign("baseline"));
+    DaxFs scratchFs(scratchMem);
     trace::TraceCursor cursor(*t);
     trace::TraceEvent e;
     while (cursor.next(e)) {
-        if (e.op != trace::Op::Read && e.op != trace::Op::Write)
+        if (e.op == trace::Op::FsCreate) {
+            scratchFs.create(e.name, e.bytes);
             continue;
+        }
+        if (e.op == trace::Op::FsRemove) {
+            scratchFs.remove(e.fd);
+            continue;
+        }
+        bool init = e.op == trace::Op::FsInit;
+        if (e.op != trace::Op::Read && e.op != trace::Op::Write && !init)
+            continue;
+        Addr vaddr = init ? scratchFs.vbase(e.fd) + e.offset : e.vaddr;
         auto idx = static_cast<std::size_t>(e.tid);
-        if (idx >= threads.size())
+        if (!init && idx >= threads.size())
             threads.resize(idx + 1);
-        PerThread &pt = threads[idx];
+        PerThread &pt = init ? fsInit : threads[idx];
         if (e.op == trace::Op::Read) {
             pt.reads++;
             pt.readBytes += e.len;
@@ -341,8 +362,8 @@ cmdStat(const std::vector<std::string> &raw)
             pt.writes++;
             pt.writeBytes += e.len;
         }
-        std::uint64_t first = lineNumber(e.vaddr);
-        std::uint64_t last = lineNumber(e.vaddr + e.len - 1);
+        std::uint64_t first = lineNumber(vaddr);
+        std::uint64_t last = lineNumber(vaddr + e.len - 1);
         for (std::uint64_t ln = first; ln <= last; ln++) {
             pt.lines.insert(ln);
             lineAccesses[ln]++;
@@ -353,11 +374,11 @@ cmdStat(const std::vector<std::string> &raw)
                 "writes", "read-bytes", "write-bytes", "footprint");
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
-    for (std::size_t i = 0; i < threads.size(); i++) {
-        const PerThread &pt = threads[i];
+    auto row = [&](const std::string &label, const PerThread &pt) {
         if (pt.reads == 0 && pt.writes == 0)
-            continue;
-        std::printf("%-6zu %12llu %12llu %14llu %14llu %9zu KiB\n", i,
+            return;
+        std::printf("%-6s %12llu %12llu %14llu %14llu %9zu KiB\n",
+                    label.c_str(),
                     static_cast<unsigned long long>(pt.reads),
                     static_cast<unsigned long long>(pt.writes),
                     static_cast<unsigned long long>(pt.readBytes),
@@ -365,7 +386,10 @@ cmdStat(const std::vector<std::string> &raw)
                     pt.lines.size() * kLineBytes / 1024);
         reads += pt.reads;
         writes += pt.writes;
-    }
+    };
+    for (std::size_t i = 0; i < threads.size(); i++)
+        row(std::to_string(i), threads[i]);
+    row("init", fsInit);
     double total = static_cast<double>(reads + writes);
     std::printf("mix: %llu reads / %llu writes (%.1f%% reads)\n",
                 static_cast<unsigned long long>(reads),
